@@ -25,6 +25,9 @@ from .model import ChainParams, DriveFamily, DriveSpec
 from . import diagnostics, floquet_analytics, gaussian, manybody_ed
 
 ENV_PREFIX = "FLOQIMP_"
+# default of evolve's n-sub: no midpoint product, the harmonic drive runs
+# the closed-form exp(-i h_F T); echoed as n-sub=exact
+EXACT = "exact"
 
 _FAMILIES = {
     "two-step": DriveFamily.TWO_STEP,
@@ -152,25 +155,32 @@ def _drive_from(cfg: dict) -> DriveSpec:
 
 def cmd_evolve(cfg: RunConfig) -> int:
     v = cfg.values
-    params = ChainParams(half_length=v["L"], delta=v["delta"])
+    if v["delta"] != 0:
+        raise ConfigError("evolve runs free fermions and cannot apply delta != 0")
+    params = ChainParams(half_length=v["L"])
     drive = _drive_from(v)
     cycles = v["cycles"]
+    n_sub = None if v["n-sub"] == EXACT else v["n-sub"]
+    if n_sub is not None and drive.family is not DriveFamily.HARMONIC:
+        raise ConfigError("n-sub selects the harmonic midpoint propagator; two-step drives are exact")
     half_steps = v["samples-per-cycle"] == 2
     if half_steps and drive.family is DriveFamily.HARMONIC:
         raise ConfigError("samples-per-cycle=2 is only available for two-step drives")
+    if half_steps and v["mode"] == "profile":
+        raise ConfigError("samples-per-cycle=2 is only available in --mode half")
     rows = []
     if v["mode"] == "half":
         if half_steps:
             rows = _evolve_half_steps(params, drive, cycles)
         else:
-            series = diagnostics.half_chain_series(params, drive, cycles, n_sub=v["n-sub"])
+            series = diagnostics.half_chain_series(params, drive, cycles, n_sub=n_sub)
             L = params.half_length
             rows = [
                 (int(n), n * drive.period, L, s)
                 for n, s in zip(series.cycles, series.entropies)
             ]
     elif v["mode"] == "profile":
-        rows = _evolve_profiles(params, drive, cycles, v["profile-every"], v["n-sub"])
+        rows = _evolve_profiles(params, drive, cycles, v["profile-every"], n_sub)
     else:
         raise ConfigError(f"unknown evolve mode {v['mode']!r}")
     _write_csv(v["out"], [cfg.echo()], "cycle,t,cut,S_nats", rows)
@@ -349,9 +359,7 @@ def _suite_eq4():
     params = ChainParams(half_length=50)
     out = []
     for T in (0.7, 2.5, 3.3):
-        hf = floquet_analytics.floquet_hamiltonian_exact(params, T)
-        w, vv = np.linalg.eigh(hf)
-        exact = (vv * np.exp(-1j * w * T)) @ vv.conj().T
+        exact = gaussian.harmonic_propagator(params, T).matrix
         u = gaussian.harmonic_propagator(params, T, n_sub=4096).matrix
         dev = float(np.max(np.abs(u - exact)))
         out.append((f"eq4_deviation_T{T}", dev, 1e-5, dev < 1e-5))
@@ -569,7 +577,7 @@ _SPECS = {
         "mode": (str, "half"),
         "profile-every": (int, 6),
         "samples-per-cycle": (int, 1),
-        "n-sub": (int, 1024),
+        "n-sub": (int, EXACT),
         "out": (str, "-"),
     },
     "spectrum": {
@@ -673,7 +681,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("L must be >= 2")
     if "cycles" in v and v["cycles"] < 0:
         raise ConfigError("cycles must be >= 0")
-    if "n-sub" in v and v["n-sub"] < 1:
+    if v.get("n-sub", EXACT) != EXACT and v["n-sub"] < 1:
         raise ConfigError("n-sub must be >= 1")
     if "threads" in v and v["threads"] < 1:
         raise ConfigError("threads must be >= 1")

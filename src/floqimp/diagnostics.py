@@ -70,12 +70,13 @@ class PhasePoint:
 
 
 def half_chain_series(
-    params: ChainParams, drive: DriveSpec, cycles: int, n_sub: int = 1024
+    params: ChainParams, drive: DriveSpec, cycles: int, n_sub: int | None = None
 ) -> EETimeSeries:
     """Evolve the half-filled uniform ground state and record S_L per cycle.
 
     Non-unitary drives are renormalised every period (no-click evolution);
-    unitary drives propagate the orbitals directly.
+    unitary drives propagate the orbitals directly.  ``n_sub`` selects the
+    harmonic midpoint propagator instead of the closed form.
     """
     prop = build_propagator(params, drive, n_sub=n_sub)
     state = half_filled_ground_state(params)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
+from .floquet_analytics import floquet_hamiltonian_exact
 from .model import ChainParams, DriveFamily, DriveSpec, single_particle_hamiltonian
 
 _ORTHO_TOL = 1e-8
@@ -134,13 +135,18 @@ def two_step_propagator(params: ChainParams, drive: DriveSpec) -> Propagator:
     return Propagator(matrix=u_defect @ u_uniform, unitary=abs(drive.lam) <= 1.0)
 
 
-def harmonic_propagator(params: ChainParams, T: float, n_sub: int = 1024) -> Propagator:
-    """Midpoint-rule propagator of the harmonic drive over one period.
+def harmonic_propagator(params: ChainParams, T: float, n_sub: int | None = None) -> Propagator:
+    """One-period propagator of the harmonic drive.
 
-    Ordered product of n_sub exponentials exp(-i H(t_mid) T/n_sub);
-    second-order accurate in T/n_sub.  Serves as the numerical route that
-    the closed-form exp(-i h_F T) is checked against.
+    With ``n_sub`` None (the default) this is the closed form
+    exp(-i h_F T), h_F = h_uniform + (pi/T)(sigma - 1) from
+    ``floquet_hamiltonian_exact``: one eigh.  With an ``n_sub`` it is the
+    ordered midpoint product of n_sub exponentials exp(-i H(t_mid) T/n_sub),
+    second-order accurate in T/n_sub, kept as the independent route that
+    the closed form is checked against.
     """
+    if n_sub is None:
+        return Propagator(matrix=_expm_h(floquet_hamiltonian_exact(params, T), T), unitary=True)
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
     dt = T / n_sub
@@ -204,6 +210,12 @@ def evolve(state: GaussianState, prop: Propagator, renormalize: bool = True) -> 
     return GaussianState(orbitals=q * phase)
 
 
+def _binary_entropy(nu: np.ndarray) -> float:
+    """Entropy of restricted-C eigenvalues nu, clipped to [1e-14, 1 - 1e-14]."""
+    nu = np.clip(nu, _CLIP, 1.0 - _CLIP)
+    return float(-np.sum(nu * np.log(nu) + (1.0 - nu) * np.log(1.0 - nu)))
+
+
 def _block_entropy(phi: np.ndarray, a: int, b: int) -> float:
     """Entropy of sites [a, b] (1-based, inclusive) from restricted-C spectra."""
     rows = phi[a - 1 : b, :]
@@ -219,8 +231,7 @@ def _block_entropy(phi: np.ndarray, a: int, b: int) -> float:
     nu = np.linalg.eigvalsh(gram)
     if pad:
         nu = np.concatenate([np.zeros(pad), nu])
-    nu = np.clip(nu, _CLIP, 1.0 - _CLIP)
-    return float(-np.sum(nu * np.log(nu) + (1.0 - nu) * np.log(1.0 - nu)))
+    return _binary_entropy(nu)
 
 
 def entanglement_entropy(state: GaussianState, interval: tuple[int, int]) -> float:
@@ -240,15 +251,39 @@ def half_chain_entropy(state: GaussianState) -> float:
 
 
 def entanglement_profile(state: GaussianState) -> EntanglementProfile:
-    """Entropy of every left block [1, cut], cut = 1 .. 2L-1."""
-    n = state.n_sites
+    """Entropy of every left block [1, cut], cut = 1 .. 2L-1.
+
+    A pure state has S([1, c]) = S([c+1, 2L]), so each cut diagonalizes the
+    restricted correlation matrix of its smaller side, sliced from one
+    C = Phi Phi^dagger.  Cuts whose smaller side still exceeds the filling
+    use the filling x filling orbital Gram matrix instead.
+    """
+    phi = state.orbitals
+    n, n_orb = phi.shape
     cuts = np.arange(1, n)
-    ent = np.array([_block_entropy(state.orbitals, 1, c) for c in cuts])
+    corr = state.correlation_matrix()
+    ent = np.empty(len(cuts))
+    for i, c in enumerate(cuts):
+        if min(c, n - c) > n_orb:
+            ent[i] = _block_entropy(phi, 1, c)
+        elif c <= n - c:
+            ent[i] = _binary_entropy(np.linalg.eigvalsh(corr[:c, :c]))
+        else:
+            ent[i] = _binary_entropy(np.linalg.eigvalsh(corr[c:, c:]))
     return EntanglementProfile(cuts=cuts, entropies=ent)
 
 
-def build_propagator(params: ChainParams, drive: DriveSpec, n_sub: int = 1024) -> Propagator:
-    """One-period propagator for any drive family (dispatch helper)."""
+def build_propagator(
+    params: ChainParams, drive: DriveSpec, n_sub: int | None = None
+) -> Propagator:
+    """One-period propagator for any drive family (dispatch helper).
+
+    ``n_sub`` selects the harmonic midpoint product (see
+    ``harmonic_propagator``); the two-step propagators are exact, so they
+    reject it.
+    """
     if drive.family is DriveFamily.HARMONIC:
         return harmonic_propagator(params, drive.period, n_sub=n_sub)
+    if n_sub is not None:
+        raise ValueError("n_sub applies only to the harmonic drive")
     return two_step_propagator(params, drive)

@@ -232,9 +232,11 @@ def two_step_theta_sp(params: ChainParams, drive: DriveSpec) -> np.ndarray:
 
     Same construction as the sector table but on the 2L x 2L one-body
     matrices; subset sums of these values reproduce the free sector spectrum.
+    The exponentials come from eigh, so only the Hermitian two-step family
+    is accepted; the no-click family raises ValueError.
     """
-    if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
-        raise ValueError("two_step_theta_sp requires a two-step drive family")
+    if drive.family is not DriveFamily.TWO_STEP:
+        raise ValueError("two_step_theta_sp requires the Hermitian two-step drive family")
     h0 = single_particle_hamiltonian(params, 1.0)
     h1 = single_particle_hamiltonian(params, drive.lam)
     half = drive.period / 2.0

@@ -216,3 +216,38 @@ def test_model_error_exit_code(capsys):
     )
     assert code == 3
     assert "SectorTooLarge" in err
+
+
+def test_evolve_harmonic_default_route_byte_identical_reruns(tmp_path, capsys):
+    args = ["evolve", "--family", "harmonic", "--L", "6", "--T", "4.2", "--cycles", "3"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(capsys, *args, "--out", str(a))[0] == 0
+    assert run(capsys, *args, "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert "n-sub=exact" in read_csv(a)[1][0]
+    c = tmp_path / "c.csv"
+    assert run(capsys, *args, "--n-sub", "64", "--out", str(c))[0] == 0
+    assert "n-sub=64" in read_csv(c)[1][0]
+
+
+TWO_STEP_EVOLVE = ["evolve", "--family", "two-step", "--L", "6", "--T", "2.5", "--lambda", "0.5", "--cycles", "2"]
+
+
+def test_evolve_n_sub_rejected_for_two_step(tmp_path, capsys, monkeypatch):
+    code, _, err = run(capsys, *TWO_STEP_EVOLVE, "--n-sub", "64")
+    assert code == 2 and "ConfigError" in err and "n-sub" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n-sub = 64\n")
+    assert run(capsys, *TWO_STEP_EVOLVE, "--config", str(cfg))[0] == 2
+    monkeypatch.setenv("FLOQIMP_N_SUB", "64")
+    assert run(capsys, *TWO_STEP_EVOLVE)[0] == 2
+
+
+def test_evolve_delta_rejected(capsys):
+    code, _, err = run(capsys, *TWO_STEP_EVOLVE, "--delta", "0.3")
+    assert code == 2 and "ConfigError" in err and "delta" in err
+
+
+def test_evolve_profile_rejects_half_step_sampling(capsys):
+    code, _, err = run(capsys, *TWO_STEP_EVOLVE, "--mode", "profile", "--samples-per-cycle", "2")
+    assert code == 2 and "ConfigError" in err and "samples-per-cycle" in err

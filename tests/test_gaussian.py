@@ -272,3 +272,51 @@ def test_long_unitary_run_conserves_number_and_purity():
     c = state.correlation_matrix()
     assert np.trace(c).real == pytest.approx(50.0, abs=1e-9)
     assert np.max(np.abs(c @ c - c)) < 1e-8
+
+
+def _harmonic_evolved(state, L, T, cycles):
+    prop = harmonic_propagator(ChainParams(half_length=L), T)
+    for _ in range(cycles):
+        state = evolve(state, prop, renormalize=False)
+    return state
+
+
+def test_profile_matches_per_cut_definition_evolved_state():
+    # the profile diagonalizes the smaller side of each cut; the per-cut
+    # definition always takes the left block
+    L = 30
+    state = _harmonic_evolved(half_filled_ground_state(ChainParams(half_length=L)), L, 4.2, 3)
+    assert np.max(np.abs(state.orbitals.imag)) > 1e-3
+    prof = entanglement_profile(state)
+    direct = [entanglement_entropy(state, (1, int(cut))) for cut in prof.cuts]
+    assert np.max(np.abs(prof.entropies - direct)) < 1e-9
+
+
+@pytest.mark.parametrize("filling", [12, 41])
+def test_profile_matches_per_cut_definition_off_half_filling(filling):
+    L = 30
+    state = _harmonic_evolved(ground_state(uniform_h(L), filling), L, 2.5, 3)
+    prof = entanglement_profile(state)
+    direct = [entanglement_entropy(state, (1, int(cut))) for cut in prof.cuts]
+    assert np.max(np.abs(prof.entropies - direct)) < 1e-9
+
+
+def test_default_harmonic_propagator_is_exp_of_exact_generator():
+    from scipy.linalg import expm
+
+    from floqimp.gaussian import build_propagator
+
+    params = ChainParams(half_length=20)
+    for T in (0.7, 2.5, 4.2):
+        prop = build_propagator(params, DriveSpec(DriveFamily.HARMONIC, period=T))
+        exact = expm(-1j * T * floquet_hamiltonian_exact(params, T))
+        assert prop.unitary
+        assert np.max(np.abs(prop.matrix - exact)) < 1e-12
+
+
+def test_build_propagator_rejects_n_sub_for_two_step():
+    from floqimp.gaussian import build_propagator
+
+    drive = DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5)
+    with pytest.raises(ValueError, match="n_sub"):
+        build_propagator(ChainParams(half_length=4), drive, n_sub=64)

@@ -210,3 +210,11 @@ def test_lowest_k_range_guard():
         lowest_k_free_spectrum(np.arange(6.0), 3, 21)
     with pytest.raises(KOutOfRange):
         lowest_k_free_spectrum(np.arange(6.0), 3, 0)
+
+
+def test_two_step_theta_sp_rejects_no_click_drive():
+    # eigh would read only one triangle of the non-Hermitian h(1.5) and drop
+    # its gain/loss terms
+    nh = DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.0, lam=1.5)
+    with pytest.raises(ValueError, match="Hermitian"):
+        two_step_theta_sp(ChainParams(half_length=4), nh)
