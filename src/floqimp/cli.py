@@ -28,6 +28,11 @@ ENV_PREFIX = "FLOQIMP_"
 # default of evolve's n-sub: no midpoint product, the harmonic drive runs
 # the closed-form exp(-i h_F T); echoed as n-sub=exact
 EXACT = "exact"
+# default of evolve's profile-every: --mode profile snapshots every
+# PROFILE_EVERY cycles and echoes that value; an explicit value with
+# --mode half, which takes no snapshots, is rejected
+UNSET = "unset"
+PROFILE_EVERY = 6
 
 _FAMILIES = {
     "two-step": DriveFamily.TWO_STEP,
@@ -142,14 +147,6 @@ def _write_csv(path: str, comments: list[str], header: str, rows) -> None:
             fh.write(text)
 
 
-def _drive_from(cfg: dict) -> DriveSpec:
-    family = cfg["family"]
-    lam = cfg.get("lambda", 1.0)
-    if family is DriveFamily.HARMONIC:
-        lam = 1.0
-    return DriveSpec(family=family, period=cfg["T"], lam=lam)
-
-
 # --- evolve -------------------------------------------------------------------
 
 
@@ -157,8 +154,14 @@ def cmd_evolve(cfg: RunConfig) -> int:
     v = cfg.values
     if v["delta"] != 0:
         raise ConfigError("evolve runs free fermions and cannot apply delta != 0")
+    if v["family"] is DriveFamily.HARMONIC and v["lambda"] != 1.0:
+        raise ConfigError("the harmonic drive modulates the defect as cos(2 pi t / T); lambda must be 1")
+    if v["profile-every"] == UNSET:
+        v["profile-every"] = PROFILE_EVERY
+    elif v["mode"] != "profile":
+        raise ConfigError("profile-every is only read in --mode profile")
     params = ChainParams(half_length=v["L"])
-    drive = _drive_from(v)
+    drive = DriveSpec(family=v["family"], period=v["T"], lam=v["lambda"])
     cycles = v["cycles"]
     n_sub = None if v["n-sub"] == EXACT else v["n-sub"]
     if n_sub is not None and drive.family is not DriveFamily.HARMONIC:
@@ -575,7 +578,7 @@ _SPECS = {
         "delta": (float, 0.0),
         "cycles": (int, None),
         "mode": (str, "half"),
-        "profile-every": (int, 6),
+        "profile-every": (int, UNSET),
         "samples-per-cycle": (int, 1),
         "n-sub": (int, EXACT),
         "out": (str, "-"),
@@ -683,6 +686,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("cycles must be >= 0")
     if v.get("n-sub", EXACT) != EXACT and v["n-sub"] < 1:
         raise ConfigError("n-sub must be >= 1")
+    if v.get("profile-every", UNSET) != UNSET and v["profile-every"] < 1:
+        raise ConfigError("profile-every must be >= 1")
     if "threads" in v and v["threads"] < 1:
         raise ConfigError("threads must be >= 1")
 

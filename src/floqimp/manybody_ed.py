@@ -28,6 +28,12 @@ SECTOR_LIMIT = 20_000
 GREY_THRESHOLD = 0.002
 _PHASE_CLUSTER_TOL = 1e-10
 _THETA_GAP_TOL = 1e-10
+# c in the real route's eigh of Re K + c Im K; irrational, so the phase pairs
+# phi, 2 atan(c) - phi that it cannot tell apart follow no symmetry of the chain
+_TWIST = (np.sqrt(5.0) - 1.0) / 2.0
+_TIE_TOL = 1e-6
+_REFINE_GAP = 1e-8
+_EIGEN_RESIDUAL_TOL = 1e-9
 
 
 class SectorTooLarge(Exception):
@@ -118,15 +124,21 @@ def floquet_unitary_mb(params: ChainParams, drive: DriveSpec, filling: int) -> S
         raise ValueError("floquet_unitary_mb requires a two-step drive family")
     h_uni = build_sector_hamiltonian(params, 1.0, filling)
     h_def = build_sector_hamiltonian(params, drive.lam, filling)
-    half = drive.period / 2.0
+    return SectorOperator(
+        basis=h_uni.basis, matrix=_floquet_matrix(h_uni, h_def, drive.period), hermitian=False
+    )
+
+
+def _floquet_matrix(h_uni: SectorOperator, h_def: SectorOperator, period: float) -> np.ndarray:
+    """exp(-i H_def T/2) exp(-i H_uni T/2) as a dense complex matrix."""
+    half = period / 2.0
     w0, v0 = np.linalg.eigh(h_uni.matrix)  # real symmetric, v0 real
     if h_def.hermitian:
         w1, v1 = np.linalg.eigh(h_def.matrix)
         left = (v1 * np.exp(-1j * w1 * half)) @ (v1.T @ v0)
     else:
         left = expm(-1j * half * h_def.matrix) @ v0
-    u = (left * np.exp(-1j * w0 * half)) @ v0.T
-    return SectorOperator(basis=h_uni.basis, matrix=u, hermitian=False)
+    return (left * np.exp(-1j * w0 * half)) @ v0.T
 
 
 @dataclass(frozen=True)
@@ -155,6 +167,35 @@ class ManyBodySpectrumTable:
         return float(self.weight.max())
 
 
+def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Index runs of ascending ``values`` whose neighbouring gaps are at most tol."""
+    breaks = np.flatnonzero(np.diff(values) > tol) + 1
+    return np.split(np.arange(len(values)), breaks)
+
+
+def _align_clusters(phases: np.ndarray, psi: np.ndarray, h_psi: np.ndarray):
+    """Gauge-fix each degenerate eigenphase cluster of a Floquet basis.
+
+    phases are ascending in (-pi, pi]; pairs straddling the +-pi cut belong to
+    one cluster.  h_psi is the time-averaged Hamiltonian applied to psi.
+    Inside a cluster the basis is a free choice, so for every cluster of more
+    than one state this returns (idx, pw, pv): pv rotates psi[:, idx] onto
+    the eigenvectors of the projected time-averaged Hamiltonian, and pw are
+    the cluster's average energies.
+    """
+    clusters = _clusters(phases, _PHASE_CLUSTER_TOL)
+    if len(clusters) > 1 and phases[0] + 2 * np.pi - phases[-1] <= _PHASE_CLUSTER_TOL:
+        clusters[0] = np.concatenate([clusters.pop(), clusters[0]])
+    out = []
+    for idx in clusters:
+        if len(idx) > 1:
+            block = psi[:, idx]
+            proj = block.conj().T @ h_psi[:, idx]
+            pw, pv = np.linalg.eigh(0.5 * (proj + proj.conj().T))
+            out.append((idx, pw, pv))
+    return out
+
+
 def _floquet_eigenbasis(u: np.ndarray, h_avg: np.ndarray):
     """Orthonormal Floquet eigenbasis with degenerate clusters aligned to h_avg.
 
@@ -170,25 +211,123 @@ def _floquet_eigenbasis(u: np.ndarray, h_avg: np.ndarray):
     phases = phases[order]
     m = h_avg @ psi
     theta = np.real(np.sum(psi.conj() * m, axis=0))
-    n = len(phases)
-    clusters = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or phases[i] - phases[i - 1] > _PHASE_CLUSTER_TOL:
-            clusters.append(list(range(start, i)))
-            start = i
-    # eigenphase pairs straddling the +-pi cut belong to one cluster
-    if len(clusters) > 1 and phases[0] + 2 * np.pi - phases[-1] <= _PHASE_CLUSTER_TOL:
-        clusters[0] = clusters.pop() + clusters[0]
-    for idx in clusters:
-        if len(idx) > 1:
-            block = psi[:, idx]
-            proj = block.conj().T @ m[:, idx]
-            pw, pv = np.linalg.eigh(0.5 * (proj + proj.conj().T))
-            psi[:, idx] = block @ pv
-            theta[idx] = pw
+    for idx, pw, pv in _align_clusters(phases, psi, m):
+        psi[:, idx] = psi[:, idx] @ pv
+        theta[idx] = pw
     eigenvalues = np.exp(1j * phases)
     return psi, theta, eigenvalues
+
+
+def _orthogonal_eigh(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real orthogonal eigenbasis of the complex-symmetric unitary K = re + i im.
+
+    K K^dagger = 1 with K = K^T makes re and im commuting real symmetric
+    matrices, so the eigenvectors O of re + c im diagonalize K (Autonne-Takagi).
+    That matrix has the eigenvalue sqrt(1 + c^2) cos(phi - atan c), which the
+    distinct phases phi and 2 atan(c) - phi share; inside each near-tie of it
+    the basis is re-split with the orthogonal combination im - c re, and one
+    first-order rotation then removes what rounding mixed between states of
+    close eigenvalues of re + c im.  Returns O and the eigenvalues
+    o_n^T K o_n.  Raises NonNormalUnitary when ||K O - O Lambda||_max or
+    max ||lambda_n| - 1| exceeds 1e-9.
+    """
+    w, o = np.linalg.eigh(re + _TWIST * im)
+    k_re = re @ o
+    k_im = im @ o
+    for idx in _clusters(w, _TIE_TOL):
+        if len(idx) > 1:
+            sub = o[:, idx].T @ (k_im[:, idx] - _TWIST * k_re[:, idx])
+            r = np.linalg.eigh(0.5 * (sub + sub.T))[1]
+            o[:, idx] = o[:, idx] @ r
+            k_re[:, idx] = k_re[:, idx] @ r
+            k_im[:, idx] = k_im[:, idx] @ r
+    # Rounding leaves states i, j rotated by a real angle s_ij of order
+    # 1e-16 / |w_i - w_j|.  K's (i, j) entry in O's basis is then
+    # (lambda_i - lambda_j) s_ij, so s = Re[(O^T K O)_ij / (lambda_i - lambda_j)]
+    # and O (1 - s) removes the rotation to first order.  Pairs closer than
+    # _REFINE_GAP are as ill-determined for any solver and stay as they are.
+    s = o.T @ k_re
+    b = o.T @ k_im
+    lam = np.diag(s) + 1j * np.diag(b)
+    d_re = np.subtract.outer(lam.real, lam.real)
+    d_im = np.subtract.outer(lam.imag, lam.imag)
+    s *= d_re
+    b *= d_im
+    s += b
+    d_re *= d_re
+    d_im *= d_im
+    d_re += d_im
+    del b, d_im
+    resolved = d_re > _REFINE_GAP**2
+    np.divide(s, d_re, out=s, where=resolved)
+    s[~resolved] = 0.0
+    del d_re, resolved
+    o -= o @ s
+    k_re -= k_re @ s
+    k_im -= k_im @ s
+    del s
+    k_re -= o * lam.real
+    k_im -= o * lam.imag
+    np.square(k_re, out=k_re)
+    np.square(k_im, out=k_im)
+    k_re += k_im
+    dev = max(np.sqrt(np.max(k_re)), np.max(np.abs(np.abs(lam) - 1.0)))
+    if dev > _EIGEN_RESIDUAL_TOL:
+        raise NonNormalUnitary(f"sector Floquet eigenbasis residual {dev:.2e}")
+    return o, lam
+
+
+def _hermitian_spectrum(params: ChainParams, drive: DriveSpec, filling: int):
+    """Floquet eigenpairs and ground state in real arithmetic, for |lam| <= 1.
+
+    Works in the eigenbasis of H0 = H(1), where with tau = T/2 and
+    D0 = exp(-i W0 tau/2) the operator K = D0 (M^T exp(-i W1 tau) M) D0,
+    M = V1^T V0, is similar to U through exp(-i H0 tau/2) and complex
+    symmetric.  With O from _orthogonal_eigh, the Floquet states are
+    psi = D0^* O; everything below is expressed through O in K's frame.
+    Returns (phases, theta, weight), phases ascending.
+    """
+    tau = drive.period / 2.0
+    w0, v0 = np.linalg.eigh(build_sector_hamiltonian(params, 1.0, filling).matrix)
+    w1, v1 = np.linalg.eigh(build_sector_hamiltonian(params, drive.lam, filling).matrix)
+    m = v1.T @ v0
+    del v0, v1
+    h_avg = m.T @ (w1[:, None] * m)
+    h_avg[np.diag_indices_from(h_avg)] += w0
+    h_avg *= 0.5
+    gs = np.linalg.eigh(h_avg)[1][:, 0]
+    cos1 = (m.T * np.cos(w1 * tau)) @ m  # M^T exp(-i W1 tau) M = cos1 - i sin1
+    sin1 = (m.T * np.sin(w1 * tau)) @ m
+    del m
+    arg = np.add.outer(w0, w0) * (0.5 * tau)  # D0 X D0 multiplies X_jk by exp(-i arg_jk)
+    c, s = np.cos(arg), np.sin(arg)
+    del arg
+    re = c * cos1
+    re -= s * sin1
+    im = s * cos1
+    im += c * sin1
+    im *= -1.0
+    del c, s, cos1, sin1
+    o, lam = _orthogonal_eigh(re, im)
+    del re, im
+    phases = np.angle(lam)
+    order = np.argsort(phases, kind="stable")
+    o = o[:, order]
+    phases = phases[order]
+    # h_avg in K's frame: D0 h_avg D0^*; o^T (imaginary, antisymmetric part) o = 0
+    d0 = np.exp(-0.5j * tau * w0)
+    h_k = h_avg * np.outer(d0, d0.conj())
+    del h_avg
+    h_o = np.ascontiguousarray(h_k.real) @ o
+    theta = np.sum(o * h_o, axis=0)
+    h_o = h_o + 1j * (np.ascontiguousarray(h_k.imag) @ o)
+    del h_k
+    g = d0 * gs
+    z = o.T @ g.real + 1j * (o.T @ g.imag)  # psi^dagger gs
+    for idx, pw, pv in _align_clusters(phases, o, h_o):
+        theta[idx] = pw
+        z[idx] = pv.conj().T @ z[idx]
+    return phases, theta, np.abs(z) ** 2
 
 
 def average_energy_spectrum_mb(
@@ -199,32 +338,49 @@ def average_energy_spectrum_mb(
     theta_n = (<psi_n|H_uniform|psi_n> + <psi_n|H_defect|psi_n>)/2 over the
     Floquet eigenbasis; records are sorted by theta ascending, and each
     carries its overlap weight with the infinite-frequency ground state.
+    A Hermitian defect (|lam| <= 1) takes the real orthogonal eigenbasis of
+    the symmetrized operator; a non-Hermitian one raises NonNormalUnitary
+    when U^dagger U deviates from 1 by more than 1e-9.
     """
-    h0 = build_sector_hamiltonian(params, 1.0, filling).matrix
-    h1 = build_sector_hamiltonian(params, drive.lam, filling).matrix
-    if not np.iscomplexobj(h1):
-        h_avg = 0.5 * (h0 + h1)
+    if abs(drive.lam) <= 1.0:
+        phases, theta, weight = _hermitian_spectrum(params, drive, filling)
     else:
-        h_avg = 0.5 * (h0.astype(complex) + h1)
-    u = floquet_unitary_mb(params, drive, filling).matrix
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > 1e-9:
-        raise NonNormalUnitary(f"sector Floquet operator not unitary (deviation {dev:.2e})")
-    psi, theta, ev = _floquet_eigenbasis(u, h_avg)
-    gw, gv = np.linalg.eigh(h_avg)
-    gs = gv[:, 0]
-    weight = np.abs(psi.conj().T @ gs) ** 2
+        h_uni = build_sector_hamiltonian(params, 1.0, filling)
+        h_def = build_sector_hamiltonian(params, drive.lam, filling)
+        u = _floquet_matrix(h_uni, h_def, drive.period)
+        dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+        if dev > 1e-9:
+            raise NonNormalUnitary(f"sector Floquet operator not unitary (deviation {dev:.2e})")
+        h_avg = 0.5 * (h_uni.matrix + h_def.matrix)
+        psi, theta, ev = _floquet_eigenbasis(u, h_avg)
+        phases = np.angle(ev)
+        weight = np.abs(psi.conj().T @ np.linalg.eigh(h_avg)[1][:, 0]) ** 2
     order = np.argsort(theta, kind="stable")
     theta = theta[order]
     weight = weight[order]
-    quasi = -np.angle(ev[order]) / drive.period
     return ManyBodySpectrumTable(
         period=drive.period,
-        quasienergy=quasi,
+        quasienergy=-phases[order] / drive.period,
         theta=theta,
         weight=weight,
         grey=weight < GREY_THRESHOLD,
     )
+
+
+def _single_particle_modes(params: ChainParams, drive: DriveSpec):
+    """Cluster-aligned single-particle Floquet modes, their thetas and h_avg.
+
+    U comes from gaussian.two_step_propagator; raises NonNormalUnitary for a
+    non-unitary (no-click) drive.
+    """
+    prop = two_step_propagator(params, drive)
+    if not prop.unitary:
+        raise NonNormalUnitary("the single-particle Floquet modes need a unitary drive (|lam| <= 1)")
+    h_avg = 0.5 * (
+        single_particle_hamiltonian(params, 1.0) + single_particle_hamiltonian(params, drive.lam)
+    )
+    psi, theta, _ = _floquet_eigenbasis(prop.matrix, h_avg)
+    return psi, theta, h_avg
 
 
 def two_step_theta_sp(params: ChainParams, drive: DriveSpec) -> np.ndarray:
@@ -232,21 +388,12 @@ def two_step_theta_sp(params: ChainParams, drive: DriveSpec) -> np.ndarray:
 
     Same construction as the sector table but on the 2L x 2L one-body
     matrices; subset sums of these values reproduce the free sector spectrum.
-    The exponentials come from eigh, so only the Hermitian two-step family
-    is accepted; the no-click family raises ValueError.
+    Only the Hermitian two-step family is accepted; the no-click family
+    raises ValueError.
     """
     if drive.family is not DriveFamily.TWO_STEP:
         raise ValueError("two_step_theta_sp requires the Hermitian two-step drive family")
-    h0 = single_particle_hamiltonian(params, 1.0)
-    h1 = single_particle_hamiltonian(params, drive.lam)
-    half = drive.period / 2.0
-    w0, v0 = np.linalg.eigh(h0)
-    w1, v1 = np.linalg.eigh(h1)
-    u = (v1 * np.exp(-1j * w1 * half)) @ (v1.conj().T @ v0) @ (
-        np.exp(-1j * w0 * half)[:, None] * v0.conj().T
-    )
-    _, theta, _ = _floquet_eigenbasis(u, 0.5 * (h0 + h1))
-    return np.sort(theta)
+    return np.sort(_single_particle_modes(params, drive)[1])
 
 
 def free_ground_state_weight(params: ChainParams, drive: DriveSpec) -> float:
@@ -267,13 +414,7 @@ def free_ground_state_weight(params: ChainParams, drive: DriveSpec) -> float:
     """
     if params.delta != 0:
         raise ValueError("free_ground_state_weight requires delta = 0")
-    prop = two_step_propagator(params, drive)
-    if not prop.unitary:
-        raise NonNormalUnitary("free_ground_state_weight requires a unitary drive (|lam| <= 1)")
-    h_avg = 0.5 * (
-        single_particle_hamiltonian(params, 1.0) + single_particle_hamiltonian(params, drive.lam)
-    )
-    psi, theta, _ = _floquet_eigenbasis(prop.matrix, h_avg)
+    psi, theta, h_avg = _single_particle_modes(params, drive)
     order = np.argsort(theta, kind="stable")
     L = params.half_length
     gap = theta[order[L]] - theta[order[L - 1]]

@@ -251,3 +251,39 @@ def test_evolve_delta_rejected(capsys):
 def test_evolve_profile_rejects_half_step_sampling(capsys):
     code, _, err = run(capsys, *TWO_STEP_EVOLVE, "--mode", "profile", "--samples-per-cycle", "2")
     assert code == 2 and "ConfigError" in err and "samples-per-cycle" in err
+
+
+HARMONIC_EVOLVE = ["evolve", "--family", "harmonic", "--L", "6", "--T", "4.2", "--cycles", "2"]
+
+
+def test_evolve_harmonic_rejects_lambda(tmp_path, capsys, monkeypatch):
+    code, _, err = run(capsys, *HARMONIC_EVOLVE, "--lambda", "0.3")
+    assert code == 2 and "ConfigError" in err and "lambda" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.3\n")
+    assert run(capsys, *HARMONIC_EVOLVE, "--config", str(cfg))[0] == 2
+    monkeypatch.setenv("FLOQIMP_LAMBDA", "0.3")
+    assert run(capsys, *HARMONIC_EVOLVE)[0] == 2
+    out = tmp_path / "h.csv"
+    assert run(capsys, *HARMONIC_EVOLVE, "--lambda", "1.0", "--out", str(out))[0] == 0
+    assert "lambda=1.0" in read_csv(out)[1][0]
+
+
+def test_evolve_profile_every_only_in_profile_mode(tmp_path, capsys, monkeypatch):
+    code, _, err = run(capsys, *TWO_STEP_EVOLVE, "--mode", "half", "--profile-every", "2")
+    assert code == 2 and "ConfigError" in err and "profile-every" in err
+    code, _, err = run(capsys, *TWO_STEP_EVOLVE, "--mode", "profile", "--profile-every", "0")
+    assert code == 2 and "profile-every" in err
+    # unset: half mode runs and profile mode snapshots every 6 cycles, both echo 6
+    half = tmp_path / "half.csv"
+    assert run(capsys, *TWO_STEP_EVOLVE, "--out", str(half))[0] == 0
+    assert "profile-every=6" in read_csv(half)[1][0]
+    args = ["evolve", "--family", "two-step", "--L", "6", "--T", "2.5", "--lambda", "0.5",
+            "--cycles", "12", "--mode", "profile"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(capsys, *args, "--out", str(a))[0] == 0
+    assert run(capsys, *args, "--profile-every", "6", "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert [r.split(",")[0] for r in read_csv(a)[3][::11]] == ["0", "6", "12"]
+    monkeypatch.setenv("FLOQIMP_PROFILE_EVERY", "3")
+    assert run(capsys, *TWO_STEP_EVOLVE)[0] == 2

@@ -218,3 +218,86 @@ def test_two_step_theta_sp_rejects_no_click_drive():
     nh = DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.0, lam=1.5)
     with pytest.raises(ValueError, match="Hermitian"):
         two_step_theta_sp(ChainParams(half_length=4), nh)
+
+
+def _schur_table(params, d, filling):
+    """The sector table from the complex Schur of floquet_unitary_mb (the oracle)."""
+    h_avg = 0.5 * (
+        build_sector_hamiltonian(params, 1.0, filling).matrix
+        + build_sector_hamiltonian(params, d.lam, filling).matrix
+    )
+    psi, theta, ev = manybody_ed._floquet_eigenbasis(floquet_unitary_mb(params, d, filling).matrix, h_avg)
+    weight = np.abs(psi.conj().T @ np.linalg.eigh(h_avg)[1][:, 0]) ** 2
+    return -np.angle(ev) / d.period, theta, weight
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+@pytest.mark.parametrize("L", [4, 5])
+def test_average_energy_table_matches_schur_oracle(L, delta):
+    # inside a subspace of equal (quasienergy, theta) the per-state weights are
+    # a basis choice, for either route; only their sum is compared there
+    params = ChainParams(half_length=L, delta=delta)
+    for T in (2.0, 2.8, 3.5, 4.0):
+        table = average_energy_spectrum_mb(params, drive(T), L)
+        q, theta, weight = _schur_table(params, drive(T), L)
+        assert np.max(np.abs(table.theta - np.sort(theta))) < 1e-8
+        assert abs(table.ground_state_weight - weight[np.argmin(theta)]) < 1e-10
+        period = 2 * np.pi / T
+        dq = np.abs((table.quasienergy[:, None] - q[None, :] + period / 2) % period - period / 2)
+        same = (dq < 1e-9) & (np.abs(table.theta[:, None] - theta[None, :]) < 1e-7)
+        for n in range(len(theta)):
+            ours = np.flatnonzero((same == same[n]).all(axis=1))
+            theirs = np.flatnonzero(same[n])
+            assert len(ours) == len(theirs)
+            assert np.min(dq[n, theirs]) < 1e-12
+            assert abs(table.weight[ours].sum() - weight[theirs].sum()) < 1e-10
+
+
+def test_orthogonal_eigh_splits_planted_phase_collision():
+    # phases phi and 2 atan(c) - phi share one eigenvalue of Re K + c Im K
+    rng = np.random.default_rng(11)
+    n = 12
+    o, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    phases = np.linspace(-3.0, 3.0, n) + rng.uniform(-0.1, 0.1, n)
+    phases[1] = 2 * np.arctan(manybody_ed._TWIST) - phases[0]
+    mix = np.cos(phases) + manybody_ed._TWIST * np.sin(phases)
+    assert mix[0] == pytest.approx(mix[1], abs=1e-15)
+    k = (o * np.exp(1j * phases)) @ o.T
+    basis, lam = manybody_ed._orthogonal_eigh(k.real.copy(), k.imag.copy())
+    for j in (0, 1):
+        found = np.argmin(np.abs(lam - np.exp(1j * phases[j])))
+        assert abs(lam[found] - np.exp(1j * phases[j])) < 1e-12
+        vec = basis[:, found]
+        assert min(np.max(np.abs(vec - o[:, j])), np.max(np.abs(vec + o[:, j]))) < 1e-12
+
+
+def test_average_energy_table_rejects_no_click_drive():
+    no_click = DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.0, lam=1.5)
+    with pytest.raises(NonNormalUnitary):
+        average_energy_spectrum_mb(ChainParams(half_length=3), no_click, 3)
+
+
+def test_average_energy_table_aligns_a_shared_phase_to_theta():
+    # lam = 1 gives U = exp(-i H T) and h_avg = H.  At T = 2 pi / (E2 - E0)
+    # the ground state shares its eigenphase with the degenerate pair E2 = E3,
+    # and only the h_avg alignment puts its whole weight on the minimal-theta
+    # state
+    params = ChainParams(half_length=2)
+    energies = np.linalg.eigvalsh(build_sector_hamiltonian(params, 1.0, 2).matrix)
+    assert energies[3] - energies[2] < 1e-12 < energies[2] - energies[1]
+    T = 2 * np.pi / (energies[2] - energies[0])
+    table = average_energy_spectrum_mb(params, drive(T, lam=1.0), 2)
+    assert table.theta == pytest.approx(energies, abs=1e-10)
+    assert table.ground_state_weight == pytest.approx(1.0, abs=1e-10)
+
+
+def test_average_energy_table_free_theta_where_eigh_mixes_states():
+    # at T = 3.559 the real eigh alone mixes two states of close
+    # Re K + c Im K eigenvalues and shifts a theta by 1.6e-10; the
+    # first-order rotation brings it back to rounding level
+    params = ChainParams(half_length=6)
+    d = drive(3.559)
+    table = average_energy_spectrum_mb(params, d, 6)
+    sums = np.sort([sum(c) for c in combinations(two_step_theta_sp(params, d), 6)])
+    assert np.max(np.abs(table.theta - sums)) < 1e-11
+    assert abs(table.ground_state_weight - free_ground_state_weight(params, d)) < 1e-11
