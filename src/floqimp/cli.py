@@ -28,17 +28,8 @@ ENV_PREFIX = "FLOQIMP_"
 # default of evolve's n-sub: no midpoint product, the harmonic drive runs
 # the closed-form exp(-i h_F T); echoed as n-sub=exact
 EXACT = "exact"
-# default of evolve's profile-every: --mode profile snapshots every
-# PROFILE_EVERY cycles and echoes that value; an explicit value with
-# --mode half, which takes no snapshots, is rejected
-UNSET = "unset"
-PROFILE_EVERY = 6
-
-_FAMILIES = {
-    "two-step": DriveFamily.TWO_STEP,
-    "harmonic": DriveFamily.HARMONIC,
-    "nh-two-step": DriveFamily.NON_HERMITIAN_TWO_STEP,
-}
+_BOOL = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_HARMONIC_LAMBDA = "the harmonic drive modulates the defect as cos(2 pi t / T); lambda must be 1"
 
 
 class ConfigError(Exception):
@@ -47,10 +38,15 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Resolved options for one command, after precedence merging."""
+    """Resolved options for one command, after precedence merging.
+
+    ``given`` holds the keys set by a flag, the environment or the config
+    file; the others took their built-in default.
+    """
 
     command: str
     values: dict
+    given: frozenset
 
     def echo(self) -> str:
         # output path and worker count do not affect the data; leaving them
@@ -89,50 +85,44 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, spec: dict[str, tuple], command: str) -> RunConfig:
-    """Merge flags, environment, config file and defaults; reject unknown keys."""
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(spec)
-        if unknown:
-            raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    values = {}
-    for key, (conv, default) in spec.items():
-        flag_val = getattr(args, key.replace("-", "_"), None)
-        env_val = os.environ.get(ENV_PREFIX + key.replace("-", "_").upper())
-        if flag_val is not None:
-            values[key] = flag_val
-        elif env_val is not None:
-            values[key] = _convert(key, env_val, conv)
-        elif key in file_values:
-            values[key] = _convert(key, file_values[key], conv)
-        elif default is not None:
-            values[key] = default
-        else:
+def resolve(argv=None) -> RunConfig:
+    """Parse ``argv`` and resolve every option of its command.
+
+    Each option takes the first of: flag, FLOQIMP_<KEY>, config-file entry,
+    built-in default.  Values from every source pass the same conversion
+    and choices check; unknown config keys and missing required options
+    raise ConfigError.
+    """
+    flags = vars(build_parser().parse_args(argv))
+    command = flags["command"]
+    spec = _OPTIONS[command]
+    file_values = _read_config_file(flags["config"]) if flags["config"] else {}
+    unknown = set(file_values) - set(spec)
+    if unknown:
+        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+    values, given = {}, set()
+    for key, (conv, default, choices) in spec.items():
+        env = os.environ.get(ENV_PREFIX + key.replace("-", "_").upper())
+        text = next((t for t in (flags[key], env, file_values.get(key)) if t is not None), None)
+        if text is not None:
+            values[key] = _convert(key, text, conv, choices)
+            given.add(key)
+        elif default is None:
             raise ConfigError(f"missing required option --{key}")
-    return RunConfig(command=command, values=values)
+        else:
+            values[key] = default
+    return RunConfig(command=command, values=values, given=frozenset(given))
 
 
-def _convert(key: str, text: str, conv):
+def _convert(key: str, text: str, conv, choices):
     try:
-        if conv is bool:
-            if text.lower() in ("1", "true", "yes"):
-                return True
-            if text.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(text)
-        return conv(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {text!r}") from exc
-
-
-def _family(text: str) -> DriveFamily:
-    if text not in _FAMILIES:
-        raise argparse.ArgumentTypeError(
-            f"unknown family {text!r}; pick one of {sorted(_FAMILIES)}"
-        )
-    return _FAMILIES[text]
+        value = _BOOL[text.lower()] if conv is bool else conv(text)
+        if choices is None or value in choices:
+            return value
+    except (KeyError, ValueError):
+        pass
+    hint = f"; pick one of {', '.join(_fmt(c) for c in choices)}" if choices else ""
+    raise ConfigError(f"bad value for {key}: {text!r}{hint}")
 
 
 def _write_csv(path: str, comments: list[str], header: str, rows) -> None:
@@ -155,79 +145,31 @@ def cmd_evolve(cfg: RunConfig) -> int:
     if v["delta"] != 0:
         raise ConfigError("evolve runs free fermions and cannot apply delta != 0")
     if v["family"] is DriveFamily.HARMONIC and v["lambda"] != 1.0:
-        raise ConfigError("the harmonic drive modulates the defect as cos(2 pi t / T); lambda must be 1")
-    if v["profile-every"] == UNSET:
-        v["profile-every"] = PROFILE_EVERY
-    elif v["mode"] != "profile":
+        raise ConfigError(_HARMONIC_LAMBDA)
+    if "profile-every" in cfg.given and v["mode"] != "profile":
         raise ConfigError("profile-every is only read in --mode profile")
     params = ChainParams(half_length=v["L"])
     drive = DriveSpec(family=v["family"], period=v["T"], lam=v["lambda"])
-    cycles = v["cycles"]
     n_sub = None if v["n-sub"] == EXACT else v["n-sub"]
     if n_sub is not None and drive.family is not DriveFamily.HARMONIC:
         raise ConfigError("n-sub selects the harmonic midpoint propagator; two-step drives are exact")
-    half_steps = v["samples-per-cycle"] == 2
-    if half_steps and drive.family is DriveFamily.HARMONIC:
-        raise ConfigError("samples-per-cycle=2 is only available for two-step drives")
-    if half_steps and v["mode"] == "profile":
-        raise ConfigError("samples-per-cycle=2 is only available in --mode half")
-    rows = []
-    if v["mode"] == "half":
-        if half_steps:
-            rows = _evolve_half_steps(params, drive, cycles)
-        else:
-            series = diagnostics.half_chain_series(params, drive, cycles, n_sub=n_sub)
-            L = params.half_length
-            rows = [
-                (int(n), n * drive.period, L, s)
-                for n, s in zip(series.cycles, series.entropies)
-            ]
-    elif v["mode"] == "profile":
-        rows = _evolve_profiles(params, drive, cycles, v["profile-every"], n_sub)
+    if v["samples-per-cycle"] == 2:
+        if drive.family is DriveFamily.HARMONIC:
+            raise ConfigError("samples-per-cycle=2 is only available for two-step drives")
+        if v["mode"] == "profile":
+            raise ConfigError("samples-per-cycle=2 is only available in --mode half")
+        steps = gaussian.two_step_factors(params, drive)
     else:
-        raise ConfigError(f"unknown evolve mode {v['mode']!r}")
+        steps = (gaussian.build_propagator(params, drive, n_sub=n_sub),)
+    rows = []
+    for n, t, state in diagnostics.stroboscopic_states(params, drive.period, steps, v["cycles"]):
+        if v["mode"] == "half":
+            rows.append((n, t, params.half_length, gaussian.half_chain_entropy(state)))
+        elif n % v["profile-every"] == 0:
+            prof = gaussian.entanglement_profile(state)
+            rows.extend((n, t, int(cut), s) for cut, s in zip(prof.cuts, prof.entropies))
     _write_csv(v["out"], [cfg.echo()], "cycle,t,cut,S_nats", rows)
     return 0
-
-
-def _evolve_profiles(params, drive, cycles, every, n_sub):
-    prop = gaussian.build_propagator(params, drive, n_sub=n_sub)
-    state = gaussian.half_filled_ground_state(params)
-    rows = []
-
-    def emit(n, st):
-        prof = gaussian.entanglement_profile(st)
-        for cut, s in zip(prof.cuts, prof.entropies):
-            rows.append((int(n), n * drive.period, int(cut), s))
-
-    emit(0, state)
-    for n in range(1, cycles + 1):
-        state = gaussian.evolve(state, prop, renormalize=not prop.unitary)
-        if n % every == 0:
-            emit(n, state)
-    return rows
-
-
-def _evolve_half_steps(params, drive, cycles):
-    """Half-chain entropy sampled at t = nT and nT + T/2 (two-step drives)."""
-    from .model import single_particle_hamiltonian
-    from .gaussian import _expm_h  # shared exponential helper
-
-    half = drive.period / 2.0
-    u_uniform = _expm_h(single_particle_hamiltonian(params, 1.0), half)
-    u_defect = _expm_h(single_particle_hamiltonian(params, drive.lam), half)
-    unitary = abs(drive.lam) <= 1.0
-    p_uni = gaussian.Propagator(matrix=u_uniform, unitary=True)
-    p_def = gaussian.Propagator(matrix=u_defect, unitary=unitary)
-    state = gaussian.half_filled_ground_state(params)
-    L = params.half_length
-    rows = [(0, 0.0, L, gaussian.half_chain_entropy(state))]
-    for n in range(1, cycles + 1):
-        state = gaussian.evolve(state, p_uni, renormalize=True)
-        rows.append((n, (n - 1) * drive.period + half, L, gaussian.half_chain_entropy(state)))
-        state = gaussian.evolve(state, p_def, renormalize=not unitary)
-        rows.append((n, n * drive.period, L, gaussian.half_chain_entropy(state)))
-    return rows
 
 
 # --- spectrum -----------------------------------------------------------------
@@ -236,27 +178,27 @@ def _evolve_half_steps(params, drive, cycles):
 def cmd_spectrum(cfg: RunConfig) -> int:
     v = cfg.values
     mode = v["mode"]
-    comments = [cfg.echo()]
+    if mode != "mb" and v["delta"] != 0:
+        raise ConfigError(f"--mode {mode} is free fermions and cannot apply delta != 0")
+    if mode == "roots" and "lambda" in cfg.given:
+        raise ConfigError("--mode roots solves the harmonic drive, which reads no lambda")
+    if v["N"] == -1:
+        v["N"] = v["sites"] // 2
+    header = "n,quasienergy,theta,overlap_w,method"
     if mode == "roots":
         params = ChainParams(half_length=v["L"])
         roots = floquet_analytics.characteristic_roots(params, v["T"])
         theta = floquet_analytics.average_energy_sp(params, v["T"], method="analytic").theta
-        rows = []
+        rows = [(n, root.energy, th, "", "roots") for n, (root, th) in enumerate(zip(roots, theta))]
         if v["with-diag"]:
             eigs = np.sort(
                 np.linalg.eigvalsh(floquet_analytics.floquet_hamiltonian_exact(params, v["T"]))
             )
-            for n, (root, th) in enumerate(zip(roots, theta)):
-                rows.append((n, root.energy, th, "", "roots", abs(root.energy - eigs[n])))
-            _write_csv(v["out"], comments, "n,quasienergy,theta,overlap_w,method,residual", rows)
-        else:
-            for n, (root, th) in enumerate(zip(roots, theta)):
-                rows.append((n, root.energy, th, "", "roots"))
-            _write_csv(v["out"], comments, "n,quasienergy,theta,overlap_w,method", rows)
-        return 0
-    if mode == "mb":
-        if v["sites"] % 2:
-            raise ConfigError("sites must be even")
+            rows = [(*row, abs(row[1] - e)) for row, e in zip(rows, eigs)]
+            header += ",residual"
+    elif v["sites"] % 2:
+        raise ConfigError("sites must be even")
+    elif mode == "mb":
         params = ChainParams(half_length=v["sites"] // 2, delta=v["delta"])
         drive = DriveSpec(family=DriveFamily.TWO_STEP, period=v["T"], lam=v["lambda"])
         table = manybody_ed.average_energy_spectrum_mb(params, drive, v["N"])
@@ -266,11 +208,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                 zip(table.quasienergy, table.theta, table.weight, table.grey)
             )
         ]
-        _write_csv(v["out"], comments, "n,quasienergy,theta,overlap_w,method,grey", rows)
-        return 0
-    if mode == "free-lowk":
-        if v["sites"] % 2:
-            raise ConfigError("sites must be even")
+        header += ",grey"
+    else:
         params = ChainParams(half_length=v["sites"] // 2)
         drive = DriveSpec(family=DriveFamily.TWO_STEP, period=v["T"], lam=v["lambda"])
         theta_sp = manybody_ed.two_step_theta_sp(params, drive)
@@ -284,9 +223,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         else:
             values = manybody_ed.lowest_k_free_spectrum(theta_sp, v["N"], v["K"])
         rows = [(n, "", th, "", "free-lowk") for n, th in enumerate(values)]
-        _write_csv(v["out"], comments, "n,quasienergy,theta,overlap_w,method", rows)
-        return 0
-    raise ConfigError(f"unknown spectrum mode {mode!r}")
+    _write_csv(v["out"], [cfg.echo()], header, rows)
+    return 0
 
 
 # --- phase / gap ----------------------------------------------------------------
@@ -297,28 +235,28 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
+def _ordered_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], on ``threads`` workers; results keep item order."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def cmd_phase(cfg: RunConfig) -> int:
     v = cfg.values
     params = ChainParams(half_length=v["L"])
     T_values = _grid(v["T-min"], v["T-max"], v["T-step"])
     lam_values = _grid(v["lambda-min"], v["lambda-max"], v["lambda-step"])
-    tol = v["pt-tol"]
 
-    def one(lam):
-        return [
-            diagnostics.pt_classify(params, diagnostics._drive_for(float(lam), float(T)), tol=tol)
-            for T in T_values
-        ]
+    def row(lam):
+        return diagnostics.phase_diagram(params, T_values, [lam], tol=v["pt-tol"])
 
-    if v["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=v["threads"]) as pool:
-            per_lam = list(pool.map(one, lam_values))
-    else:
-        per_lam = [one(lam) for lam in lam_values]
-    rows = []
-    for points in per_lam:
-        for p in points:
-            rows.append((p.period, p.lam, p.label.value, p.score))
+    rows = [
+        (p.period, p.lam, p.label.value, p.score)
+        for points in _ordered_map(row, lam_values, v["threads"])
+        for p in points
+    ]
     comments = [cfg.echo(), f"# T_pi={np.pi!r}"]
     _write_csv(v["out"], comments, "T,lambda,label,score", rows)
     return 0
@@ -326,20 +264,16 @@ def cmd_phase(cfg: RunConfig) -> int:
 
 def cmd_gap(cfg: RunConfig) -> int:
     v = cfg.values
+    if v["family"] is DriveFamily.HARMONIC and "lambda" in cfg.given and v["lambda"] != 1.0:
+        raise ConfigError(_HARMONIC_LAMBDA)
     params = ChainParams(half_length=v["L"])
     T_values = _grid(v["T-min"], v["T-max"], v["T-step"])
-    family = v["family"]
 
     def one(T):
-        return diagnostics.gap_curve(params, np.array([T]), family=family, lam=v["lambda"])[0]
+        return diagnostics.gap_curve(params, [T], family=v["family"], lam=v["lambda"])[0]
 
-    if v["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=v["threads"]) as pool:
-            pairs = list(pool.map(one, T_values))
-    else:
-        pairs = [one(T) for T in T_values]
     comments = [cfg.echo(), f"# T_pi={np.pi!r}"]
-    _write_csv(v["out"], comments, "T,gap", pairs)
+    _write_csv(v["out"], comments, "T,gap", _ordered_map(one, T_values, v["threads"]))
     return 0
 
 
@@ -482,12 +416,7 @@ _SUITES = {
 
 def cmd_verify(cfg: RunConfig) -> int:
     name = cfg.values["suite"]
-    if name == "all":
-        names = list(_SUITES)
-    elif name in _SUITES:
-        names = [name]
-    else:
-        raise ConfigError(f"unknown suite {name!r}; pick from {sorted(_SUITES)} or 'all'")
+    names = list(_SUITES) if name == "all" else [name]
     failed = 0
     for suite in names:
         for check, measured, bound, ok in _SUITES[suite]():
@@ -497,16 +426,72 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-# --- argument parsing -----------------------------------------------------------
+# --- options and argument parsing -----------------------------------------------
 
+# command -> key -> (type, default, choices); a default of None makes the key
+# required.  Every source (flag, FLOQIMP_<KEY>, config file) is checked
+# against the same type and choices.
+_OPTIONS = {
+    "evolve": {
+        "family": (DriveFamily, None, tuple(DriveFamily)),
+        "L": (int, None, None),
+        "T": (float, None, None),
+        "lambda": (float, 1.0, None),
+        "delta": (float, 0.0, None),
+        "cycles": (int, None, None),
+        "mode": (str, "half", ("half", "profile")),
+        "profile-every": (int, 6, None),
+        "samples-per-cycle": (int, 1, (1, 2)),
+        "n-sub": (int, EXACT, None),
+        "out": (str, "-", None),
+    },
+    "spectrum": {
+        "mode": (str, None, ("roots", "mb", "free-lowk")),
+        "L": (int, 50, None),
+        "sites": (int, 14, None),
+        "N": (int, -1, None),  # -1: half filling, sites // 2
+        "K": (int, 100, None),
+        "T": (float, None, None),
+        "lambda": (float, 0.5, None),
+        "delta": (float, 0.0, None),
+        "with-diag": (bool, False, None),
+        "all-fillings": (bool, False, None),
+        "out": (str, "-", None),
+    },
+    "phase": {
+        "L": (int, 200, None),
+        "T-min": (float, 2.0, None),
+        "T-max": (float, 4.0, None),
+        "T-step": (float, 0.05, None),
+        "lambda-min": (float, 1.0, None),
+        "lambda-max": (float, 2.4, None),
+        "lambda-step": (float, 0.05, None),
+        "pt-tol": (float, diagnostics.DEFAULT_PT_TOL, None),
+        "threads": (int, 1, None),
+        "out": (str, "-", None),
+    },
+    "gap": {
+        "family": (DriveFamily, DriveFamily.HARMONIC, tuple(DriveFamily)),
+        "L": (int, 200, None),
+        "lambda": (float, 0.5, None),
+        "T-min": (float, 0.2, None),
+        "T-max": (float, 4.2, None),
+        "T-step": (float, 0.1, None),
+        "threads": (int, 1, None),
+        "out": (str, "-", None),
+    },
+    "verify": {"suite": (str, "all", ("all", *_SUITES))},
+}
 
-def _add_common(sp, *names):
-    if "config" in names:
-        sp.add_argument("--config", help="flat key = value config file")
-    if "out" in names:
-        sp.add_argument("--out", help="output CSV path ('-' for stdout)")
-    if "threads" in names:
-        sp.add_argument("--threads", type=int, help="parallel workers over grid points")
+_HELP = {"out": "output CSV path ('-' for stdout)", "threads": "parallel workers over grid points"}
+
+_COMMANDS = {
+    "evolve": (cmd_evolve, "stroboscopic entanglement evolution"),
+    "spectrum": (cmd_spectrum, "roots, sector tables, lowest-K sums"),
+    "phase": (cmd_phase, "PT phase diagram over (T, lambda)"),
+    "gap": (cmd_gap, "gap vs period curve"),
+    "verify": (cmd_verify, "run invariant suites, one line per check"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,118 +501,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"floqimp {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    ev = sub.add_parser("evolve", help="stroboscopic entanglement evolution")
-    ev.add_argument("--family", type=_family)
-    ev.add_argument("--L", type=int)
-    ev.add_argument("--T", type=float)
-    ev.add_argument("--lambda", dest="lambda_", type=float)
-    ev.add_argument("--delta", type=float)
-    ev.add_argument("--cycles", type=int)
-    ev.add_argument("--mode", choices=["half", "profile"])
-    ev.add_argument("--profile-every", type=int)
-    ev.add_argument("--samples-per-cycle", type=int, choices=[1, 2])
-    ev.add_argument("--n-sub", type=int)
-    _add_common(ev, "config", "out")
-
-    spc = sub.add_parser("spectrum", help="roots, sector tables, lowest-K sums")
-    spc.add_argument("--mode", choices=["roots", "mb", "free-lowk"])
-    spc.add_argument("--L", type=int)
-    spc.add_argument("--sites", type=int)
-    spc.add_argument("--N", type=int)
-    spc.add_argument("--K", type=int)
-    spc.add_argument("--T", type=float)
-    spc.add_argument("--lambda", dest="lambda_", type=float)
-    spc.add_argument("--delta", type=float)
-    spc.add_argument("--with-diag", action="store_const", const=True)
-    spc.add_argument("--all-fillings", action="store_const", const=True)
-    _add_common(spc, "config", "out")
-
-    ph = sub.add_parser("phase", help="PT phase diagram over (T, lambda)")
-    ph.add_argument("--L", type=int)
-    ph.add_argument("--T-min", type=float)
-    ph.add_argument("--T-max", type=float)
-    ph.add_argument("--T-step", type=float)
-    ph.add_argument("--lambda-min", type=float)
-    ph.add_argument("--lambda-max", type=float)
-    ph.add_argument("--lambda-step", type=float)
-    ph.add_argument("--pt-tol", type=float)
-    _add_common(ph, "config", "out", "threads")
-
-    gp = sub.add_parser("gap", help="gap vs period curve")
-    gp.add_argument("--family", type=_family)
-    gp.add_argument("--L", type=int)
-    gp.add_argument("--lambda", dest="lambda_", type=float)
-    gp.add_argument("--T-min", type=float)
-    gp.add_argument("--T-max", type=float)
-    gp.add_argument("--T-step", type=float)
-    _add_common(gp, "config", "out", "threads")
-
-    vf = sub.add_parser("verify", help="run invariant suites, one line per check")
-    vf.add_argument("--suite")
-    _add_common(vf, "config")
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        # flags stay text here; resolve() converts them like env and config values
+        for key, (conv, _, choices) in _OPTIONS[command].items():
+            if conv is bool:
+                sp.add_argument(f"--{key}", dest=key, action="store_const", const="true")
+            else:
+                metavar = "{" + ",".join(_fmt(c) for c in choices) + "}" if choices else None
+                sp.add_argument(f"--{key}", dest=key, metavar=metavar, help=_HELP.get(key))
+        sp.add_argument("--config", help="flat key = value config file")
     return ap
 
-
-_SPECS = {
-    "evolve": {
-        "family": (str, None),
-        "L": (int, None),
-        "T": (float, None),
-        "lambda": (float, 1.0),
-        "delta": (float, 0.0),
-        "cycles": (int, None),
-        "mode": (str, "half"),
-        "profile-every": (int, UNSET),
-        "samples-per-cycle": (int, 1),
-        "n-sub": (int, EXACT),
-        "out": (str, "-"),
-    },
-    "spectrum": {
-        "mode": (str, None),
-        "L": (int, 50),
-        "sites": (int, 14),
-        "N": (int, -1),
-        "K": (int, 100),
-        "T": (float, None),
-        "lambda": (float, 0.5),
-        "delta": (float, 0.0),
-        "with-diag": (bool, False),
-        "all-fillings": (bool, False),
-        "out": (str, "-"),
-    },
-    "phase": {
-        "L": (int, 200),
-        "T-min": (float, 2.0),
-        "T-max": (float, 4.0),
-        "T-step": (float, 0.05),
-        "lambda-min": (float, 1.0),
-        "lambda-max": (float, 2.4),
-        "lambda-step": (float, 0.05),
-        "pt-tol": (float, diagnostics.DEFAULT_PT_TOL),
-        "threads": (int, 1),
-        "out": (str, "-"),
-    },
-    "gap": {
-        "family": (str, "harmonic"),
-        "L": (int, 200),
-        "lambda": (float, 0.5),
-        "T-min": (float, 0.2),
-        "T-max": (float, 4.2),
-        "T-step": (float, 0.1),
-        "threads": (int, 1),
-        "out": (str, "-"),
-    },
-    "verify": {"suite": (str, "all")},
-}
-
-_DISPATCH = {
-    "evolve": cmd_evolve,
-    "spectrum": cmd_spectrum,
-    "phase": cmd_phase,
-    "gap": cmd_gap,
-    "verify": cmd_verify,
-}
 
 _MODEL_ERRORS = (
     floquet_analytics.RootCountMismatch,
@@ -643,30 +528,10 @@ _MODEL_ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-    spec = _SPECS[command]
-    # map argparse namespace names back onto the spec keys
-    ns = vars(args)
-    for key in spec:
-        attr = {"lambda": "lambda_"}.get(key, key.replace("-", "_"))
-        setattr(args, key.replace("-", "_"), ns.get(attr))
     try:
-        cfg = _resolve(args, spec, command)
-        # family strings from env/config become enums here
-        if "family" in cfg.values and isinstance(cfg.values["family"], str):
-            if cfg.values["family"] not in _FAMILIES:
-                raise ConfigError(f"unknown family {cfg.values['family']!r}")
-            cfg.values["family"] = _FAMILIES[cfg.values["family"]]
-        if command == "spectrum" and cfg.values["N"] == -1:
-            cfg.values["N"] = cfg.values["sites"] // 2
+        cfg = resolve(argv)
         _validate(cfg)
-    except (ConfigError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _DISPATCH[command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except (ConfigError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -678,17 +543,17 @@ def main(argv=None) -> int:
 def _validate(cfg: RunConfig) -> None:
     v = cfg.values
     for key in ("T", "T-min", "T-max", "T-step"):
-        if key in v and v[key] is not None and v[key] <= 0:
+        if key in v and v[key] <= 0:
             raise ConfigError(f"{key} must be positive")
-    if "L" in v and v["L"] is not None and v["L"] < 2:
+    if "L" in v and v["L"] < 2:
         raise ConfigError("L must be >= 2")
     if "cycles" in v and v["cycles"] < 0:
         raise ConfigError("cycles must be >= 0")
     if v.get("n-sub", EXACT) != EXACT and v["n-sub"] < 1:
         raise ConfigError("n-sub must be >= 1")
-    if v.get("profile-every", UNSET) != UNSET and v["profile-every"] < 1:
+    if v.get("profile-every", 1) < 1:
         raise ConfigError("profile-every must be >= 1")
-    if "threads" in v and v["threads"] < 1:
+    if v.get("threads", 1) < 1:
         raise ConfigError("threads must be >= 1")
 
 

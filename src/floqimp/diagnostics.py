@@ -9,6 +9,7 @@ non-Hermitian Floquet eigenvalues.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -17,6 +18,8 @@ from scipy.signal import find_peaks
 
 from .model import ChainParams, DriveFamily, DriveSpec
 from .gaussian import (
+    GaussianState,
+    Propagator,
     build_propagator,
     evolve,
     half_chain_entropy,
@@ -69,6 +72,28 @@ class PhasePoint:
     delta: float = 0.0
 
 
+def stroboscopic_states(
+    params: ChainParams, period: float, steps: Sequence[Propagator], cycles: int
+) -> Iterator[tuple[int, float, GaussianState]]:
+    """Evolve the half-filled uniform ground state; yield (cycle, t, state).
+
+    ``steps`` split one period into equal parts that act in order: one
+    one-period propagator, or the two half-period ``two_step_factors``.
+    The initial state comes first at (0, 0.0), then the state after every
+    step; a period's last step lands on t = cycle * period.  Non-unitary
+    steps renormalise the orbitals (no-click evolution); unitary steps
+    propagate them directly.
+    """
+    state = half_filled_ground_state(params)
+    yield 0, 0.0, state
+    k = len(steps)
+    for n in range(1, cycles + 1):
+        for j, prop in enumerate(steps, 1):
+            state = evolve(state, prop, renormalize=not prop.unitary)
+            t = n * period if j == k else (n - 1) * period + j * period / k
+            yield n, t, state
+
+
 def half_chain_series(
     params: ChainParams, drive: DriveSpec, cycles: int, n_sub: int | None = None
 ) -> EETimeSeries:
@@ -79,12 +104,8 @@ def half_chain_series(
     harmonic midpoint propagator instead of the closed form.
     """
     prop = build_propagator(params, drive, n_sub=n_sub)
-    state = half_filled_ground_state(params)
-    ent = np.empty(cycles + 1)
-    ent[0] = half_chain_entropy(state)
-    for n in range(1, cycles + 1):
-        state = evolve(state, prop, renormalize=not prop.unitary)
-        ent[n] = half_chain_entropy(state)
+    states = stroboscopic_states(params, drive.period, (prop,), cycles)
+    ent = np.array([half_chain_entropy(state) for _, _, state in states])
     return EETimeSeries(
         params=params, drive=drive, cycles=np.arange(cycles + 1), entropies=ent
     )

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .floquet_analytics import floquet_hamiltonian_exact
-from .model import ChainParams, DriveFamily, DriveSpec, single_particle_hamiltonian
+from .model import ChainParams, DriveFamily, DriveSpec, harmonic_block, single_particle_hamiltonian
 
 _ORTHO_TOL = 1e-8
 _CLIP = 1e-14
@@ -121,18 +121,32 @@ def _expm_h(h: np.ndarray, t: float) -> np.ndarray:
     return expm(-1j * t * h)
 
 
+def two_step_factors(params: ChainParams, drive: DriveSpec) -> tuple[Propagator, Propagator]:
+    """Half-period factors of the two-step drive, in the order they act.
+
+    exp(-i h(1) T/2) (the uniform half, unitary) then exp(-i h(lam) T/2)
+    (the defect half, unitary iff |lam| <= 1).
+    """
+    if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
+        raise ValueError("two-step factors require a two-step drive family")
+    half = drive.period / 2.0
+    uniform = _expm_h(single_particle_hamiltonian(params, 1.0), half)
+    defect = _expm_h(single_particle_hamiltonian(params, drive.lam), half)
+    return (
+        Propagator(matrix=uniform, unitary=True),
+        Propagator(matrix=defect, unitary=abs(drive.lam) <= 1.0),
+    )
+
+
 def two_step_propagator(params: ChainParams, drive: DriveSpec) -> Propagator:
     """One-period propagator of the two-step drive, uniform half first.
 
-    U = exp(-i h(lam) T/2) exp(-i h(1) T/2); the right factor acts first.
-    Unitary iff |lam| <= 1.
+    U = exp(-i h(lam) T/2) exp(-i h(1) T/2), the product of
+    ``two_step_factors``; the right factor acts first.  Unitary iff
+    |lam| <= 1.
     """
-    if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
-        raise ValueError("two_step_propagator requires a two-step drive family")
-    half = drive.period / 2.0
-    u_uniform = _expm_h(single_particle_hamiltonian(params, 1.0), half)
-    u_defect = _expm_h(single_particle_hamiltonian(params, drive.lam), half)
-    return Propagator(matrix=u_defect @ u_uniform, unitary=abs(drive.lam) <= 1.0)
+    uniform, defect = two_step_factors(params, drive)
+    return Propagator(matrix=defect.matrix @ uniform.matrix, unitary=defect.unitary)
 
 
 def harmonic_propagator(params: ChainParams, T: float, n_sub: int | None = None) -> Propagator:
@@ -162,11 +176,7 @@ def harmonic_propagator(params: ChainParams, T: float, n_sub: int | None = None)
         h = single_particle_hamiltonian(params, 1.0).real
         u = np.eye(n, dtype=complex)
         for k in ks:
-            phase = 2.0 * np.pi * (k + 0.5) * dt / T
-            c, s = np.cos(phase), np.sin(phase)
-            h[L - 1, L] = h[L, L - 1] = -0.5 * c
-            h[L - 1, L - 1] = 0.5 * s
-            h[L, L] = -0.5 * s
+            h[L - 1 : L + 1, L - 1 : L + 1] = harmonic_block(2.0 * np.pi * (k + 0.5) * dt / T)
             w, v = np.linalg.eigh(h)
             u = (v * np.exp(-1j * w * dt)) @ (v.T @ u)
         return u

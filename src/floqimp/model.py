@@ -53,7 +53,7 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Drive protocol: waveform family, period, defect strength, gauge offset.
+    """Drive protocol: waveform family, period and defect strength.
 
     For the two-step families the drive alternates between the uniform chain
     (first half period) and the defect at strength ``lam`` (second half).
@@ -64,13 +64,10 @@ class DriveSpec:
     family: DriveFamily
     period: float
     lam: float = 1.0
-    gauge_offset: float = 0.0
 
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
-        if not 0.0 <= self.gauge_offset < self.period:
-            raise ValueError("gauge_offset must lie in [0, period)")
         if self.family is DriveFamily.TWO_STEP and abs(self.lam) > 1:
             raise ValueError("two-step drive requires |lambda| <= 1")
         if self.family is DriveFamily.NON_HERMITIAN_TWO_STEP and self.lam <= 1:
@@ -89,6 +86,16 @@ def impurity_block(lam: float) -> np.ndarray:
     else:
         diag = 0.5j * np.sqrt(lam * lam - 1.0)
     return np.array([[diag, -lam / 2.0], [-lam / 2.0, -diag]], dtype=complex)
+
+
+def harmonic_block(phase: float) -> np.ndarray:
+    """Central 2x2 block of the harmonic drive at phase 2 pi t / T.
+
+    [[sin/2, -cos/2], [-cos/2, -sin/2]]: the uniform chain's bond at phase 0,
+    rotated by the mirror operator (real symmetric for every phase).
+    """
+    c, s = np.cos(phase), np.sin(phase)
+    return np.array([[0.5 * s, -0.5 * c], [-0.5 * c, -0.5 * s]])
 
 
 def single_particle_hamiltonian(params: ChainParams, lam: float) -> np.ndarray:
@@ -124,26 +131,19 @@ def hamiltonian_at(params: ChainParams, drive: DriveSpec, t: float) -> np.ndarra
 
     Two-step families: uniform chain for (t mod T) in [0, T/2), defect at
     strength lam otherwise.  Harmonic: the mirror-rotated uniform chain,
-    which replaces the central block by
-    [[sin(2 pi t/T)/2, -cos(2 pi t/T)/2], [-cos(2 pi t/T)/2, -sin(2 pi t/T)/2]];
-    this is smooth in t and equals the uniform chain at t = 0.
+    whose central block is ``harmonic_block(2 pi t / T)``; this is smooth
+    in t and equals the uniform chain at t = 0.
     """
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
     T = drive.period
-    tau = (t + drive.gauge_offset) % T
+    tau = t % T
     if drive.family in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
         lam = 1.0 if tau < T / 2.0 else drive.lam
         return single_particle_hamiltonian(params, lam)
-    # harmonic: H(t) = H_uniform - (1/2)[cos(2 pi t/T) Gamma - sin(2 pi t/T) Omega]
-    # on the central 2x2 block (exactly the mirror-rotated uniform chain).
     L = params.half_length
     h = single_particle_hamiltonian(params, 1.0)
-    c = np.cos(2.0 * np.pi * tau / T)
-    s = np.sin(2.0 * np.pi * tau / T)
-    h[L - 1, L] = h[L, L - 1] = -0.5 * c
-    h[L - 1, L - 1] = 0.5 * s
-    h[L, L] = -0.5 * s
+    h[L - 1 : L + 1, L - 1 : L + 1] = harmonic_block(2.0 * np.pi * tau / T)
     return h
 
 

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from floqimp import cli
 from floqimp.cli import main
 
 
@@ -287,3 +288,103 @@ def test_evolve_profile_every_only_in_profile_mode(tmp_path, capsys, monkeypatch
     assert [r.split(",")[0] for r in read_csv(a)[3][::11]] == ["0", "6", "12"]
     monkeypatch.setenv("FLOQIMP_PROFILE_EVERY", "3")
     assert run(capsys, *TWO_STEP_EVOLVE)[0] == 2
+
+
+def _sample_text(conv, default, choices):
+    """A valid value for an option that differs from its default, as text."""
+    if choices:
+        return cli._fmt(choices[-1])
+    return {int: "3", float: "2.5", str: "x.csv", bool: "true"}[conv]
+
+
+def _required_flags(command, skip):
+    argv = []
+    for key, spec in cli._OPTIONS[command].items():
+        if spec[1] is None and key != skip:
+            argv += [f"--{key}", _sample_text(*spec)]
+    return argv
+
+
+OPTION_KEYS = [(command, key) for command, spec in cli._OPTIONS.items() for key in spec]
+
+
+@pytest.mark.parametrize("command, key", OPTION_KEYS)
+def test_every_source_resolves_the_same_value(command, key, tmp_path, monkeypatch):
+    for name in list(os.environ):
+        if name.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(name)
+    conv, default, choices = cli._OPTIONS[command][key]
+    text = _sample_text(conv, default, choices)
+    base = [command, *_required_flags(command, key)]
+    flag = [f"--{key}"] if conv is bool else [f"--{key}", text]
+    by_flag = cli.resolve(base + flag)
+    env_name = cli.ENV_PREFIX + key.replace("-", "_").upper()
+    monkeypatch.setenv(env_name, text)
+    by_env = cli.resolve(base)
+    monkeypatch.delenv(env_name)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    by_file = cli.resolve(base + ["--config", str(cfg)])
+    assert by_flag.values == by_env.values == by_file.values
+    assert by_flag.values[key] != default
+    assert key in by_flag.given and key in by_env.given and key in by_file.given
+    if default is not None:
+        assert key not in cli.resolve(base).given
+
+
+CHOICE_KEYS = [(c, k) for c, k in OPTION_KEYS if cli._OPTIONS[c][k][2]]
+
+
+@pytest.mark.parametrize("command, key", CHOICE_KEYS)
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_choices_apply_from_every_source(command, key, source, tmp_path, capsys, monkeypatch):
+    conv = cli._OPTIONS[command][key][0]
+    bad = "3" if conv is int else "bogus"
+    argv = [command, *_required_flags(command, key)]
+    if source == "flag":
+        argv += [f"--{key}", bad]
+    elif source == "env":
+        monkeypatch.setenv(cli.ENV_PREFIX + key.replace("-", "_").upper(), bad)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {bad}\n")
+        argv += ["--config", str(cfg)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and f"ConfigError: bad value for {key}" in err
+
+
+SPECTRUM_ROOTS = ["spectrum", "--mode", "roots", "--L", "5", "--T", "2.5"]
+SPECTRUM_LOWK = ["spectrum", "--mode", "free-lowk", "--sites", "8", "--K", "5", "--T", "2.0"]
+
+
+def test_spectrum_rejects_options_its_mode_ignores(tmp_path, capsys, monkeypatch):
+    for argv in (SPECTRUM_ROOTS, SPECTRUM_LOWK):
+        code, _, err = run(capsys, *argv, "--delta", "0.3")
+        assert code == 2 and "ConfigError" in err and "delta" in err
+        assert run(capsys, *argv, "--delta", "0.0")[0] == 0
+    code, _, err = run(capsys, *SPECTRUM_ROOTS, "--lambda", "0.2")
+    assert code == 2 and "ConfigError" in err and "lambda" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.5\n")
+    assert run(capsys, *SPECTRUM_ROOTS, "--config", str(cfg))[0] == 2
+    assert run(capsys, *SPECTRUM_LOWK, "--lambda", "0.2")[0] == 0
+    monkeypatch.setenv("FLOQIMP_DELTA", "0.3")
+    assert run(capsys, *SPECTRUM_LOWK)[0] == 2
+
+
+GAP = ["gap", "--L", "6", "--T-min", "1.0", "--T-max", "1.2", "--T-step", "0.1"]
+
+
+def test_gap_harmonic_rejects_given_lambda(tmp_path, capsys, monkeypatch):
+    code, _, err = run(capsys, *GAP, "--lambda", "0.3")
+    assert code == 2 and "ConfigError" in err and "lambda" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.5\n")
+    assert run(capsys, *GAP, "--config", str(cfg))[0] == 2
+    out = tmp_path / "gap.csv"
+    assert run(capsys, *GAP, "--out", str(out))[0] == 0
+    assert "family=harmonic" in read_csv(out)[1][0] and "lambda=0.5" in read_csv(out)[1][0]
+    assert run(capsys, *GAP, "--lambda", "1.0")[0] == 0
+    assert run(capsys, *GAP, "--family", "two-step", "--lambda", "0.3")[0] == 0
+    monkeypatch.setenv("FLOQIMP_LAMBDA", "0.3")
+    assert run(capsys, *GAP)[0] == 2

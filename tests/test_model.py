@@ -119,17 +119,6 @@ def test_two_step_switches_at_half_period():
     assert np.allclose(block, impurity_block(0.5))
 
 
-def test_gauge_offset_shifts_the_protocol():
-    params = ChainParams(half_length=4)
-    shifted = DriveSpec(DriveFamily.TWO_STEP, period=2.0, lam=0.5, gauge_offset=1.2)
-    assert np.allclose(
-        hamiltonian_at(params, shifted, 0.0), single_particle_hamiltonian(params, 0.5)
-    )
-    assert np.allclose(
-        hamiltonian_at(params, shifted, 0.9), single_particle_hamiltonian(params, 1.0)
-    )
-
-
 def test_negative_time_rejected():
     params = ChainParams(half_length=4)
     drive = DriveSpec(DriveFamily.TWO_STEP, period=1.0, lam=0.5)
@@ -166,6 +155,4 @@ def test_drive_spec_validation():
         DriveSpec(DriveFamily.TWO_STEP, period=1.0, lam=1.5)
     with pytest.raises(ValueError):
         DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=1.0, lam=0.9)
-    with pytest.raises(ValueError):
-        DriveSpec(DriveFamily.TWO_STEP, period=1.0, lam=0.5, gauge_offset=1.5)
     DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=1.0, lam=1.2)
