@@ -117,7 +117,8 @@ def resolve(argv=None) -> RunConfig:
 def _convert(key: str, text: str, conv, choices):
     try:
         value = _BOOL[text.lower()] if conv is bool else conv(text)
-        if choices is None or value in choices:
+        finite = conv is not float or np.isfinite(value)
+        if finite and (choices is None or value in choices):
             return value
     except (KeyError, ValueError):
         pass
@@ -175,13 +176,28 @@ def cmd_evolve(cfg: RunConfig) -> int:
 # --- spectrum -----------------------------------------------------------------
 
 
+# the options each spectrum mode reads besides mode, out and delta (which
+# the free modes accept only as 0); roots solves the harmonic drive, so it
+# reads no lambda
+_SPECTRUM_KEYS = {
+    "roots": {"L", "T", "with-diag"},
+    "mb": {"sites", "N", "T", "lambda"},
+    "free-lowk": {"sites", "N", "K", "T", "lambda", "all-fillings"},
+}
+
+
 def cmd_spectrum(cfg: RunConfig) -> int:
     v = cfg.values
     mode = v["mode"]
+    reads = _SPECTRUM_KEYS[mode] | {"mode", "out", "delta"}
+    if mode == "free-lowk" and v["all-fillings"]:
+        reads = reads - {"N"}
+    unread = sorted(cfg.given - reads)
+    if unread:
+        note = "; --all-fillings replaces N" if mode == "free-lowk" and "N" in unread else ""
+        raise ConfigError(f"--mode {mode} does not read {', '.join(unread)}{note}")
     if mode != "mb" and v["delta"] != 0:
         raise ConfigError(f"--mode {mode} is free fermions and cannot apply delta != 0")
-    if mode == "roots" and "lambda" in cfg.given:
-        raise ConfigError("--mode roots solves the harmonic drive, which reads no lambda")
     if v["N"] == -1:
         v["N"] = v["sites"] // 2
     header = "n,quasienergy,theta,overlap_w,method"
@@ -524,6 +540,7 @@ _MODEL_ERRORS = (
     manybody_ed.KOutOfRange,
     diagnostics.WindowTooShort,
     diagnostics.NoRevivalDetected,
+    diagnostics.CayleyPole,
 )
 
 
@@ -542,9 +559,12 @@ def main(argv=None) -> int:
 
 def _validate(cfg: RunConfig) -> None:
     v = cfg.values
-    for key in ("T", "T-min", "T-max", "T-step"):
-        if key in v and v[key] <= 0:
+    for key in ("T", "T-min", "T-max", "T-step", "lambda-step", "pt-tol"):
+        if key in v and not v[key] > 0:
             raise ConfigError(f"{key} must be positive")
+    for lo, hi in (("T-min", "T-max"), ("lambda-min", "lambda-max")):
+        if lo in v and v[lo] > v[hi]:
+            raise ConfigError(f"{lo} must not exceed {hi}")
     if "L" in v and v["L"] < 2:
         raise ConfigError("L must be >= 2")
     if "cycles" in v and v["cycles"] < 0:

@@ -21,6 +21,9 @@ from .model import ChainParams, DriveFamily, DriveSpec, harmonic_block, single_p
 
 _ORTHO_TOL = 1e-8
 _CLIP = 1e-14
+# Pade entries below this are set to zero: squaring a banded exponent leaves
+# subnormal entries far from the band, which slow every later product ~10x
+_FLUSH = 1e-30
 
 
 class DegenerateFermiLevel(Exception):
@@ -112,13 +115,20 @@ def half_filled_ground_state(params: ChainParams) -> GaussianState:
 
 
 def _expm_h(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) via eigendecomposition for Hermitian h, Pade otherwise."""
+    """exp(-i h t) via eigendecomposition for Hermitian h, Pade otherwise.
+
+    Pade entries (real and imaginary parts separately) below 1e-30 are set
+    to zero, so the result holds no subnormal numbers.
+    """
     if np.max(np.abs(h - h.conj().T)) < 1e-12:
         if not np.any(h.imag):
             h = h.real  # real-symmetric solver is noticeably faster
         w, v = np.linalg.eigh(h)
         return (v * np.exp(-1j * w * t)) @ v.conj().T
-    return expm(-1j * t * h)
+    u = expm(-1j * t * h)
+    for part in (u.real, u.imag):
+        part[np.abs(part) < _FLUSH] = 0.0
+    return u
 
 
 def two_step_factors(params: ChainParams, drive: DriveSpec) -> tuple[Propagator, Propagator]:
@@ -147,6 +157,22 @@ def two_step_propagator(params: ChainParams, drive: DriveSpec) -> Propagator:
     """
     uniform, defect = two_step_factors(params, drive)
     return Propagator(matrix=defect.matrix @ uniform.matrix, unitary=defect.unitary)
+
+
+def symmetrized_two_step(params: ChainParams, drive: DriveSpec) -> np.ndarray:
+    """K = exp(-i h(1) T/4) exp(-i h(lam) T/2) exp(-i h(1) T/4).
+
+    K = Q U Q^-1 with Q = exp(-i h(1) T/4) and U the ``two_step_propagator``,
+    so both share one spectrum.  Splitting the uniform half keeps the
+    drive's antiunitary symmetry on K: conj(K) = K^-1 for |lam| <= 1 (real
+    symmetric h), and P conj(K) P = K^-1 for lam > 1 (PT, with P the mirror
+    j <-> 2L+1-j).
+    """
+    if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
+        raise ValueError("the symmetrized period requires a two-step drive family")
+    quarter = _expm_h(single_particle_hamiltonian(params, 1.0), drive.period / 4.0)
+    defect = _expm_h(single_particle_hamiltonian(params, drive.lam), drive.period / 2.0)
+    return quarter @ defect @ quarter
 
 
 def harmonic_propagator(params: ChainParams, T: float, n_sub: int | None = None) -> Propagator:

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -388,3 +390,126 @@ def test_gap_harmonic_rejects_given_lambda(tmp_path, capsys, monkeypatch):
     assert run(capsys, *GAP, "--family", "two-step", "--lambda", "0.3")[0] == 0
     monkeypatch.setenv("FLOQIMP_LAMBDA", "0.3")
     assert run(capsys, *GAP)[0] == 2
+
+
+def run_with(capsys, tmp_path, monkeypatch, source, argv, key, text):
+    """Run ``argv`` with option ``key`` set to ``text`` by flag, FLOQIMP_<KEY> or config file."""
+    argv = list(argv)
+    if source == "flag":
+        is_bool = cli._OPTIONS[argv[0]][key][0] is bool
+        argv += [f"--{key}"] if is_bool else [f"--{key}", text]
+    elif source == "env":
+        monkeypatch.setenv(cli.ENV_PREFIX + key.replace("-", "_").upper(), text)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        argv += ["--config", str(cfg)]
+    return run(capsys, *argv)
+
+
+SOURCES = ["flag", "env", "config"]
+PHASE = [
+    "phase", "--L", "4", "--T-min", "2.0", "--T-max", "2.2", "--T-step", "0.1",
+    "--lambda-min", "1.1", "--lambda-max", "1.3", "--lambda-step", "0.1",
+]
+BAD_GRIDS = [
+    (PHASE, "lambda-step", "0"),
+    (PHASE, "lambda-step", "-0.1"),
+    (PHASE, "T-step", "-0.1"),
+    (PHASE, "T-min", "2.5"),
+    (PHASE, "lambda-max", "1.0"),
+    (PHASE, "pt-tol", "0"),
+    (PHASE, "pt-tol", "-0.001"),
+    (PHASE, "T-max", "inf"),
+    (GAP, "T-max", "0.9"),
+]
+
+
+@pytest.mark.parametrize("argv, key, text", BAD_GRIDS, ids=[f"{a[0]}-{k}={t}" for a, k, t in BAD_GRIDS])
+@pytest.mark.parametrize("source", SOURCES)
+def test_bad_grids_are_config_errors(argv, key, text, source, tmp_path, capsys, monkeypatch):
+    # flags are not repeated: drop the base value of a key the source sets
+    if source != "flag" and f"--{key}" in argv:
+        i = argv.index(f"--{key}")
+        argv = argv[:i] + argv[i + 2:]
+    code, out, err = run_with(capsys, tmp_path, monkeypatch, source, argv, key, text)
+    assert code == 2 and "ConfigError" in err and key in err
+    assert out == ""
+
+
+SPECTRUM_MB = ["spectrum", "--mode", "mb", "--sites", "6", "--T", "2.0"]
+UNREAD_SPECTRUM = [
+    (SPECTRUM_ROOTS, "sites", "8"),
+    (SPECTRUM_ROOTS, "N", "3"),
+    (SPECTRUM_ROOTS, "K", "3"),
+    (SPECTRUM_ROOTS, "all-fillings", "true"),
+    (SPECTRUM_MB, "L", "30"),
+    (SPECTRUM_MB, "K", "3"),
+    (SPECTRUM_MB, "with-diag", "true"),
+    (SPECTRUM_MB, "all-fillings", "true"),
+    (SPECTRUM_LOWK, "L", "30"),
+    (SPECTRUM_LOWK, "with-diag", "true"),
+    ([*SPECTRUM_LOWK, "--all-fillings"], "N", "4"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, key, text",
+    UNREAD_SPECTRUM,
+    ids=[f"{a[2]}{'+all-fillings' if '--all-fillings' in a else ''}-{k}" for a, k, _ in UNREAD_SPECTRUM],
+)
+@pytest.mark.parametrize("source", SOURCES)
+def test_spectrum_rejects_each_option_of_another_mode(argv, key, text, source, tmp_path, capsys, monkeypatch):
+    code, out, err = run_with(capsys, tmp_path, monkeypatch, source, argv, key, text)
+    assert code == 2 and "ConfigError" in err and key in err
+    assert out == ""
+
+
+def test_spectrum_reads_n_without_all_fillings(capsys):
+    code, out, _ = run(capsys, *SPECTRUM_LOWK, "--N", "3", "--out", "-")
+    assert code == 0 and "N=3" in out
+
+
+def test_cayley_pole_is_a_model_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli.diagnostics, "_RCOND_FLOOR", 2.0)  # no LU can pass
+    code, out, err = run(capsys, *PHASE, "--out", "-")
+    assert code == 3 and "CayleyPole" in err
+
+
+def _phase_subprocess(tmp_path, name, blas_threads, *extra):
+    env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(blas_threads)
+    out = tmp_path / name
+    argv = [
+        "phase", "--L", "100", "--T-min", "2.6", "--T-max", "2.9", "--T-step", "0.1",
+        "--lambda-min", "1.5", "--lambda-max", "2.0", "--lambda-step", "0.5", *extra,
+        "--out", str(out),
+    ]
+    subprocess.run([sys.executable, "-m", "floqimp.cli", *argv], env=env, check=True, timeout=300)
+    return out.read_bytes()
+
+
+def _body(raw):
+    return [line.split(",") for line in raw.decode().splitlines() if not line.startswith("#")]
+
+
+def test_phase_csv_determinism_contract(tmp_path):
+    # 2L = 200 with symmetric and broken lambda > 1 points: the same
+    # configuration and BLAS thread count give the same bytes at any --threads
+    ref = _phase_subprocess(tmp_path, "a.csv", 1)
+    assert _phase_subprocess(tmp_path, "b.csv", 1) == ref
+    assert _phase_subprocess(tmp_path, "c.csv", 1, "--threads", "2") == ref
+    # another BLAS thread count keeps the labels and the exact 0.0 of every
+    # symmetric point; broken scores may move in their last digits
+    rows, other = _body(ref), _body(_phase_subprocess(tmp_path, "d.csv", 2))
+    labels = [r[2] for r in rows[1:]]
+    assert "pt-symmetric" in labels and "pt-broken" in labels
+    assert [r[:3] for r in other] == [r[:3] for r in rows]
+    for mine, theirs in zip(rows[1:], other[1:]):
+        if mine[2] == "pt-symmetric":
+            assert mine[3] == theirs[3] == "0.0"
+        else:
+            assert float(theirs[3]) == pytest.approx(float(mine[3]), rel=1e-9)

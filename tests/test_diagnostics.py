@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from floqimp import diagnostics
+from floqimp.gaussian import two_step_propagator
 from floqimp.model import ChainParams, DriveFamily, DriveSpec
 from floqimp.diagnostics import (
+    CayleyPole,
     EETimeSeries,
     NoRevivalDetected,
     PhaseLabel,
     WindowTooShort,
+    cayley_eigenvalues,
     classify_heating,
     count_recurrences,
     expected_revival_period,
@@ -110,6 +114,53 @@ def test_pt_hermitian_always_symmetric():
 def test_pt_requires_two_step():
     with pytest.raises(ValueError):
         pt_classify(PARAMS, DriveSpec(DriveFamily.HARMONIC, period=2.0))
+
+
+@pytest.mark.parametrize("L", [10, 30])
+@pytest.mark.parametrize("lam", [-1.0, 0.5, 1.0, 1.1, 1.5, 2.0, 2.4])
+def test_pt_score_matches_complex_eigenvalue_moduli(L, lam):
+    params = ChainParams(half_length=L)
+    for T in (2.0, 2.7, 2.8, 3.5, 4.2):
+        drive = diagnostics._drive_for(lam, T)
+        u = np.linalg.eigvals(two_step_propagator(params, drive).matrix)
+        oracle = float(np.max(np.abs(np.abs(u) - 1.0)))
+        point = pt_classify(params, drive)
+        assert (point.label is PhaseLabel.PT_SYMMETRIC) == (oracle < 1e-6)
+        if point.label is PhaseLabel.PT_BROKEN:
+            assert point.score == pytest.approx(oracle, rel=1e-9)
+        else:
+            assert point.score <= 1e-12
+
+
+def _planted(a_values):
+    """K = (i - R)(R + i)^-1 with R real normal, eigenvalues a_values plus the pair 0.3 +- 0.2i.
+
+    conj(K) = K^-1 for every real R; an eigenvalue a of R gives the eigenvalue
+    (i - a)/(a + i) of K, so a = cot(phi/2) plants -exp(-i phi).
+    """
+    rng = np.random.default_rng(7)
+    reals = np.concatenate([a_values, rng.uniform(-3.0, 3.0, 12 - len(a_values))])
+    block = np.diag(np.concatenate([reals, [0.3, 0.3]]))
+    block[12, 13], block[13, 12] = 0.2, -0.2
+    o, _ = np.linalg.qr(rng.standard_normal((14, 14)))
+    r = o @ block @ o.T
+    return np.linalg.solve((r + 1j * np.eye(14)).T, (1j * np.eye(14) - r).T).T
+
+
+def test_cayley_route_steps_past_a_planted_pole():
+    phases = diagnostics._CAYLEY_PHASES
+    clean = _planted([])
+    poled = _planted([1.0 / np.tan(phases[0] / 2.0)])
+    assert np.min(np.abs(np.linalg.eigvals(poled) + np.exp(-1j * phases[0]))) < 1e-12
+    a_clean, phi_clean = cayley_eigenvalues(clean)
+    a_poled, phi_poled = cayley_eigenvalues(poled)
+    assert (phi_clean, phi_poled) == (phases[0], phases[1])
+    for k, a in ((clean, a_clean), (poled, a_poled)):
+        oracle = np.max(np.abs(np.abs(np.linalg.eigvals(k)) - 1.0))
+        assert oracle > 0.1
+        assert np.max(diagnostics._modulus_deviation(a)) == pytest.approx(oracle, rel=1e-12)
+    with pytest.raises(CayleyPole):
+        cayley_eigenvalues(_planted([1.0 / np.tan(p / 2.0) for p in phases]))
 
 
 def test_phase_diagram_hermitian_column():

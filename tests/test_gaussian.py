@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from floqimp import gaussian
 from floqimp.model import ChainParams, DriveFamily, DriveSpec, single_particle_hamiltonian
 from floqimp.gaussian import (
     DegenerateFermiLevel,
@@ -14,6 +16,7 @@ from floqimp.gaussian import (
     half_chain_entropy,
     half_filled_ground_state,
     harmonic_propagator,
+    symmetrized_two_step,
     two_step_propagator,
 )
 from floqimp.floquet_analytics import floquet_hamiltonian_exact
@@ -320,3 +323,26 @@ def test_build_propagator_rejects_n_sub_for_two_step():
     drive = DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5)
     with pytest.raises(ValueError, match="n_sub"):
         build_propagator(ChainParams(half_length=4), drive, n_sub=64)
+
+
+def test_pade_exponential_holds_no_subnormals():
+    h = single_particle_hamiltonian(ChainParams(half_length=200), 1.5)
+    u = gaussian._expm_h(h, 1.5)
+    tiny = np.finfo(float).tiny
+    for part in (u.real, u.imag):
+        assert not np.any((part != 0.0) & (np.abs(part) < tiny))
+    assert np.max(np.abs(u - scipy.linalg.expm(-1.5j * h))) <= 1e-28
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+def test_symmetrized_two_step_is_similar_to_the_period(lam):
+    params = ChainParams(half_length=6)
+    family = DriveFamily.NON_HERMITIAN_TWO_STEP if lam > 1 else DriveFamily.TWO_STEP
+    drive = DriveSpec(family, period=2.7, lam=lam)
+    k = symmetrized_two_step(params, drive)
+    q = scipy.linalg.expm(-0.25j * 2.7 * uniform_h(6))
+    u = two_step_propagator(params, drive).matrix
+    assert np.max(np.abs(k @ q - q @ u)) < 1e-12
+    # the antiunitary symmetry: conj(K) = K^-1 in the site basis, P conj(K) P = K^-1 with the mirror P
+    k_bar = k.conj() if lam <= 1 else k.conj()[::-1, ::-1]
+    assert np.max(np.abs(k_bar @ k - np.eye(12))) < 1e-12
