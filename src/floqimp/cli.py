@@ -230,6 +230,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         drive = DriveSpec(family=DriveFamily.TWO_STEP, period=v["T"], lam=v["lambda"])
         theta_sp = manybody_ed.two_step_theta_sp(params, drive)
         if v["all-fillings"]:
+            if v["K"] > 2 ** v["sites"]:
+                raise manybody_ed.KOutOfRange(
+                    f"K must be in [1, {2 ** v['sites']}] over all fillings, got {v['K']}"
+                )
             sums = []
             for filling in range(v["sites"] + 1):
                 total = manybody_ed.comb(v["sites"], filling)
@@ -573,6 +577,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("n-sub must be >= 1")
     if v.get("profile-every", 1) < 1:
         raise ConfigError("profile-every must be >= 1")
+    if v.get("K", 1) < 1:
+        raise ConfigError("K must be >= 1")
     if v.get("threads", 1) < 1:
         raise ConfigError("threads must be >= 1")
 

@@ -16,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.signal import find_peaks
 
 from .model import ChainParams, DriveFamily, DriveSpec
 from .gaussian import (
@@ -151,12 +150,51 @@ def classify_heating(
     )
 
 
+def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the local maxima of ``x`` with prominence >= ``min_prominence``.
+
+    The definitions of ``scipy.signal.find_peaks(x, prominence=...)``: a
+    peak is a sample above its left neighbour and above the first different
+    sample to its right, and a flat top counts once, at its middle (rounded
+    down); the border samples are never peaks.  Its prominence is its height
+    minus the higher of the two minima met walking outwards to the border
+    or to the first higher sample.
+    """
+    v = np.asarray(x, dtype=float).tolist()
+    n = len(v)
+    peaks = []
+    i = 1
+    while i < n - 1:
+        if v[i - 1] < v[i]:
+            ahead = i + 1
+            while ahead < n - 1 and v[ahead] == v[i]:
+                ahead += 1
+            if v[ahead] < v[i]:
+                peaks.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+    kept = []
+    for p in peaks:
+        top = v[p]
+        left = right = top
+        j = p
+        while j >= 0 and v[j] <= top:
+            left = min(left, v[j])
+            j -= 1
+        j = p
+        while j < n and v[j] <= top:
+            right = min(right, v[j])
+            j += 1
+        if top - max(left, right) >= min_prominence:
+            kept.append(p)
+    return np.array(kept, dtype=int)
+
+
 def _prominent_minima(entropies: np.ndarray, rel_prominence: float) -> np.ndarray:
     spread = float(entropies.max() - entropies.min())
     if spread == 0.0:
         return np.array([], dtype=int)
-    minima, _ = find_peaks(-entropies, prominence=rel_prominence * spread)
-    return minima
+    return _prominent_peaks(-entropies, rel_prominence * spread)
 
 
 def quasiparticle_velocity(delta: float) -> float:

@@ -476,20 +476,30 @@ def test_cayley_pole_is_a_model_error(capsys, monkeypatch):
     assert code == 3 and "CayleyPole" in err
 
 
-def _phase_subprocess(tmp_path, name, blas_threads, *extra):
+def _subprocess_env(blas_threads):
     env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(blas_threads)
+    return env
+
+
+def _cli_subprocess(tmp_path, name, blas_threads, argv):
     out = tmp_path / name
+    subprocess.run(
+        [sys.executable, "-m", "floqimp.cli", *argv, "--out", str(out)],
+        env=_subprocess_env(blas_threads), check=True, timeout=300,
+    )
+    return out.read_bytes()
+
+
+def _phase_subprocess(tmp_path, name, blas_threads, *extra):
     argv = [
         "phase", "--L", "100", "--T-min", "2.6", "--T-max", "2.9", "--T-step", "0.1",
         "--lambda-min", "1.5", "--lambda-max", "2.0", "--lambda-step", "0.5", *extra,
-        "--out", str(out),
     ]
-    subprocess.run([sys.executable, "-m", "floqimp.cli", *argv], env=env, check=True, timeout=300)
-    return out.read_bytes()
+    return _cli_subprocess(tmp_path, name, blas_threads, argv)
 
 
 def _body(raw):
@@ -513,3 +523,71 @@ def test_phase_csv_determinism_contract(tmp_path):
             assert mine[3] == theirs[3] == "0.0"
         else:
             assert float(theirs[3]) == pytest.approx(float(mine[3]), rel=1e-9)
+
+
+DETERMINISM_CASES = {
+    "evolve-half-two-step": [
+        "evolve", "--family", "two-step", "--L", "100", "--T", "2.5", "--lambda", "0.5",
+        "--cycles", "60",
+    ],
+    "evolve-half-harmonic": ["evolve", "--family", "harmonic", "--L", "100", "--T", "4.2", "--cycles", "60"],
+    "evolve-profile-two-step": [
+        "evolve", "--family", "two-step", "--L", "50", "--T", "4.2", "--lambda", "0.5",
+        "--cycles", "12", "--mode", "profile", "--profile-every", "6",
+    ],
+    "evolve-profile-harmonic": [
+        "evolve", "--family", "harmonic", "--L", "50", "--T", "2.5", "--cycles", "12",
+        "--mode", "profile", "--profile-every", "6",
+    ],
+    "spectrum-roots": ["spectrum", "--mode", "roots", "--L", "50", "--T", "2.5", "--with-diag"],
+    "spectrum-mb": ["spectrum", "--mode", "mb", "--sites", "8", "--delta", "0.1", "--T", "2.0"],
+    "spectrum-free-lowk": ["spectrum", "--mode", "free-lowk", "--sites", "20", "--K", "500", "--T", "2.0"],
+}
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+@pytest.mark.parametrize("case", list(DETERMINISM_CASES))
+def test_evolve_and_spectrum_csv_determinism_contract(case, blas_threads, tmp_path):
+    argv = DETERMINISM_CASES[case]
+    ref = _cli_subprocess(tmp_path, "a.csv", blas_threads, argv)
+    assert len(_body(ref)) > 2
+    assert _cli_subprocess(tmp_path, "b.csv", blas_threads, argv) == ref
+
+
+def test_cli_import_loads_no_scipy_subpackage_but_linalg():
+    # a CLI call pays for the import of every scipy subpackage it pulls in;
+    # scipy.signal alone (with scipy.stats behind it) took about 1 s
+    code = (
+        "import sys, floqimp.cli\n"
+        "print(' '.join(sorted(name for name, mod in sys.modules.items()\n"
+        "    if name.count('.') == 1 and name.startswith('scipy.')\n"
+        "    and not name.split('.')[1].startswith('_') and hasattr(mod, '__path__'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(1), check=True, timeout=120,
+        capture_output=True, text=True,
+    )
+    assert done.stdout.split() == ["scipy.linalg"]
+
+
+LOWK_8 = ["spectrum", "--mode", "free-lowk", "--sites", "8", "--T", "2.0"]
+
+
+@pytest.mark.parametrize("K", ["0", "-3"])
+@pytest.mark.parametrize("source", SOURCES)
+def test_spectrum_k_below_one_is_a_config_error(K, source, tmp_path, capsys, monkeypatch):
+    code, out, err = run_with(capsys, tmp_path, monkeypatch, source, LOWK_8, "K", K)
+    assert code == 2 and "ConfigError" in err and "K" in err
+    assert out == ""
+
+
+def test_spectrum_k_beyond_the_sector_is_a_model_error(capsys):
+    # sites 8: C(8, 4) = 70 states at half filling, 2^8 = 256 over all fillings
+    code, out, err = run(capsys, *LOWK_8, "--K", "71")
+    assert code == 3 and "KOutOfRange" in err and out == ""
+    all_fillings = [*LOWK_8, "--all-fillings"]
+    code, out, err = run(capsys, *all_fillings, "--K", "1000")
+    assert code == 3 and "KOutOfRange" in err and out == ""
+    code, out, _ = run(capsys, *all_fillings, "--K", "256")
+    rows = [line for line in out.splitlines() if not line.startswith("#")][1:]
+    assert code == 0 and len(rows) == 256

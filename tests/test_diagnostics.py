@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from floqimp import diagnostics
 from floqimp.gaussian import two_step_propagator
@@ -84,6 +85,57 @@ def test_count_recurrences_synthetic():
     )
     n = count_recurrences(series_from(vals))
     assert n >= 2
+
+
+def _same_peaks(x, prominence):
+    want = find_peaks(x, prominence=prominence)[0]
+    got = diagnostics._prominent_peaks(x, prominence)
+    assert got.dtype.kind == "i"
+    assert np.array_equal(got, want), (x, prominence, got, want)
+    return got
+
+
+@pytest.mark.parametrize("integer_valued", [False, True], ids=["real", "small-int"])
+def test_prominent_peaks_match_find_peaks_on_random_series(integer_valued):
+    # small integers make plateaus, equal peaks and equal bases common
+    rng = np.random.default_rng(7 + integer_valued)
+    for _ in range(2000):
+        n = int(rng.integers(0, 40))
+        x = rng.integers(0, 4, n).astype(float) if integer_valued else rng.normal(size=n)
+        for prominence in (0.0, 1.0, 2.0, float(rng.uniform(0.0, 3.0))):
+            _same_peaks(x, prominence)
+
+
+@pytest.mark.parametrize("x", [[], [1.0], [1.0, 2.0], [2.0, 1.0], [0.5] * 9])
+def test_prominent_peaks_match_find_peaks_on_short_and_constant_series(x):
+    for prominence in (0.0, 0.5):
+        assert len(_same_peaks(np.array(x), prominence)) == 0
+
+
+def test_prominent_peaks_flat_tops_and_ties():
+    x = np.array([0.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 3.0, 0.0, 3.0, 1.0, 1.0, 4.0, 4.0])
+    # plateaus count once at their middle, rounded down; a plateau that
+    # reaches the border is not a peak; prominences are 1, 3 and 2, and a
+    # prominence equal to the threshold is kept
+    assert _same_peaks(x, 1.0).tolist() == [2, 6, 9]
+    assert _same_peaks(x, 2.0).tolist() == [6, 9]
+    assert _same_peaks(x, 2.5).tolist() == [6]
+
+
+@pytest.fixture(scope="module")
+def quench_series():
+    params = ChainParams(half_length=200)
+    return half_chain_series(params, DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5), 300)
+
+
+@pytest.mark.parametrize("rel_prominence", [0.05, 0.2])
+def test_prominent_minima_match_find_peaks_on_quench_series(quench_series, rel_prominence):
+    # the relative prominences of count_recurrences and revival_period
+    ent = quench_series.entropies
+    spread = float(ent.max() - ent.min())
+    minima = diagnostics._prominent_minima(ent, rel_prominence)
+    assert np.array_equal(minima, find_peaks(-ent, prominence=rel_prominence * spread)[0])
+    assert len(minima) >= 1
 
 
 def test_velocity_formula_values():
