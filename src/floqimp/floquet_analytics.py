@@ -23,6 +23,9 @@ import numpy as np
 from .model import ChainParams, single_particle_hamiltonian, bond_matrix, imbalance_matrix
 
 
+_HF_CLUSTER_TOL = 1e-12
+
+
 class RootCountMismatch(Exception):
     """Raised when the bracketing scan cannot locate all 2L spectral roots."""
 
@@ -232,30 +235,24 @@ def _scan_band(L: int, T: float, center: float, n_cells: int) -> list[float]:
     return roots
 
 
-def characteristic_roots(
-    params: ChainParams, T: float, grid_size: int | None = None
-) -> list[QuasiEnergyRoot]:
+def characteristic_roots(params: ChainParams, T: float) -> list[QuasiEnergyRoot]:
     """All 2L real roots of the spectral condition, by bracketing + bisection.
 
     Each of the two spectral bands (centres 0 and -2 pi/T, half-width 1) is
     scanned on a uniform grid in its arc parameter; sign changes are refined
     by bisection to machine precision, duplicates from overlapping bands are
-    merged.  The grid starts at ``grid_size`` cells per band (default 8L) and
-    doubles up to three times before RootCountMismatch is raised.
+    merged.  The grid starts at 8L cells per band and doubles up to three
+    times before RootCountMismatch is raised.
 
     Inverse-cosh branch: kappa carries Re >= 0 and Im in [0, pi].
     """
     if T <= 0:
         raise ValueError("T must be positive")
     L = params.half_length
-    if grid_size is None:
-        grid_size = 8 * L
-    if grid_size < 4 * L:
-        raise ValueError(f"grid_size must be at least 4L = {4 * L}")
     shift = 2.0 * np.pi / T
     energies: list[float] = []
     for attempt in range(4):
-        n_cells = grid_size * (2**attempt)
+        n_cells = 8 * L * (2**attempt)
         found: list[float] = []
         for center in (0.0, -shift):
             found.extend(_scan_band(L, T, center, n_cells))
@@ -362,28 +359,44 @@ class AverageEnergySP:
     theta: np.ndarray = field(repr=False)
 
 
-def _eigh_with_cluster_fix(hf: np.ndarray, h0: np.ndarray, tol: float = 1e-12):
-    """Eigendecomposition of h_F with degenerate subspaces aligned to h0.
+def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Index runs of ascending ``values`` whose neighbouring gaps are at most tol."""
+    breaks = np.flatnonzero(np.diff(values) > tol) + 1
+    return np.split(np.arange(len(values)), breaks)
 
-    Within any eigenvalue cluster (spacing < tol) the basis is rotated to
-    diagonalise the projected h0 block, which removes the gauge ambiguity of
-    the average energies.
+
+def _align_clusters(groups: list[np.ndarray], psi: np.ndarray, h_psi: np.ndarray):
+    """Gauge-fix each degenerate cluster of an eigenbasis psi.
+
+    groups are index arrays of states sharing one eigenvalue, and h_psi is
+    the reference Hamiltonian applied to psi.  Inside a cluster the basis is
+    a free choice, so for every group of more than one state this returns
+    (idx, pw, pv): pv rotates psi[:, idx] onto the eigenvectors of the
+    projected reference Hamiltonian, and pw are its eigenvalues.
     """
-    w, v = np.linalg.eigh(hf)
-    m = h0 @ v
-    theta = np.real(np.sum(v.conj() * m, axis=0))
-    start = 0
-    n = len(w)
-    for i in range(1, n + 1):
-        if i == n or w[i] - w[i - 1] > tol:
-            if i - start > 1:
-                block = v[:, start:i]
-                proj = block.conj().T @ (h0 @ block)
-                pw, pv = np.linalg.eigh(0.5 * (proj + proj.conj().T))
-                v[:, start:i] = block @ pv
-                theta[start:i] = pw
-            start = i
-    return w, v, theta
+    out = []
+    for idx in groups:
+        if len(idx) > 1:
+            proj = psi[:, idx].conj().T @ h_psi[:, idx]
+            pw, pv = np.linalg.eigh(0.5 * (proj + proj.conj().T))
+            out.append((idx, pw, pv))
+    return out
+
+
+def _harmonic_basis(params: ChainParams, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of h_F and their average energies <psi_n| h_uniform |psi_n>.
+
+    Inside every eigenvalue cluster of h_F (spacing <= 1e-12) the basis is
+    rotated to diagonalise the projected h_uniform, which removes the gauge
+    ambiguity of the average energies.
+    """
+    w, v = np.linalg.eigh(floquet_hamiltonian_exact(params, T))
+    h_v = single_particle_hamiltonian(params, 1.0) @ v
+    theta = np.real(np.sum(v.conj() * h_v, axis=0))
+    for idx, pw, pv in _align_clusters(_clusters(w, _HF_CLUSTER_TOL), v, h_v):
+        v[:, idx] = v[:, idx] @ pv
+        theta[idx] = pw
+    return v, theta
 
 
 def average_energy_sp(params: ChainParams, T: float, method: str = "numeric") -> AverageEnergySP:
@@ -395,9 +408,7 @@ def average_energy_sp(params: ChainParams, T: float, method: str = "numeric") ->
               transcendental root (no diagonalisation involved).
     """
     if method == "numeric":
-        hf = floquet_hamiltonian_exact(params, T)
-        h0 = single_particle_hamiltonian(params, 1.0)
-        _, _, theta = _eigh_with_cluster_fix(hf, h0)
+        theta = _harmonic_basis(params, T)[1]
         return AverageEnergySP(period=T, method=method, theta=np.sort(theta))
     if method == "analytic":
         L = params.half_length
@@ -413,9 +424,7 @@ def average_energy_sp(params: ChainParams, T: float, method: str = "numeric") ->
 
 def kato_hamiltonian_sp(params: ChainParams, T: float) -> np.ndarray:
     """Average-energy operator sum_n theta_n |psi_n><psi_n| over h_F eigenstates."""
-    hf = floquet_hamiltonian_exact(params, T)
-    h0 = single_particle_hamiltonian(params, 1.0)
-    _, v, theta = _eigh_with_cluster_fix(hf, h0)
+    v, theta = _harmonic_basis(params, T)
     return (v * theta) @ v.conj().T
 
 
@@ -424,7 +433,6 @@ class KatoLocalityStats:
     """Spatial-structure summary of the average-energy operator."""
 
     off_tridiagonal_weight: float
-    off_tridiagonal_weight_sq: float
     antidiagonal_mean: float
     background_mean: float
 
@@ -433,20 +441,18 @@ def kato_locality_stats(hk: np.ndarray) -> KatoLocalityStats:
     """Off-tridiagonal weight and anti-diagonal prominence of |H_K|.
 
     ``off_tridiagonal_weight`` is the fraction of sum |H_K|_{ij} carried by
-    elements with |i-j| > 1; the ``_sq`` variant uses |H_K|^2.  The
-    anti-diagonal mean (elements i + j = 2L + 1, 1-based) is compared with
-    the mean over the remaining off-tridiagonal background.
+    elements with |i-j| > 1.  The anti-diagonal mean (elements i + j =
+    2L + 1, 1-based) is compared with the mean over the remaining
+    off-tridiagonal background.
     """
     n = hk.shape[0]
     a1 = np.abs(hk)
-    a2 = a1 * a1
     idx = np.arange(n)
     tri = np.zeros((n, n), dtype=bool)
     tri[idx, idx] = True
     tri[idx[:-1], idx[:-1] + 1] = True
     tri[idx[:-1] + 1, idx[:-1]] = True
     w1 = float(a1[~tri].sum() / a1.sum())
-    w2 = float(a2[~tri].sum() / a2.sum())
     anti_mask = np.zeros((n, n), dtype=bool)
     anti_mask[idx, n - 1 - idx] = True
     anti = float(a1[anti_mask & ~tri].mean())
@@ -454,7 +460,6 @@ def kato_locality_stats(hk: np.ndarray) -> KatoLocalityStats:
     bg = float(a1[bg_mask].mean())
     return KatoLocalityStats(
         off_tridiagonal_weight=w1,
-        off_tridiagonal_weight_sq=w2,
         antidiagonal_mean=anti,
         background_mean=bg,
     )

@@ -14,14 +14,16 @@ basis carry no fermionic string sign.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.linalg import expm, schur
+from scipy.linalg import expm
 
-from .gaussian import ground_state, two_step_propagator
+from .floquet_analytics import _align_clusters, _clusters
+from .gaussian import DegenerateFermiLevel
 from .model import ChainParams, DriveFamily, DriveSpec, single_particle_hamiltonian
 
 SECTOR_LIMIT = 20_000
@@ -122,23 +124,17 @@ def floquet_unitary_mb(params: ChainParams, drive: DriveSpec, filling: int) -> S
     """Sector Floquet operator exp(-i H_lam T/2) exp(-i H_1 T/2), uniform half first."""
     if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
         raise ValueError("floquet_unitary_mb requires a two-step drive family")
+    half = drive.period / 2.0
     h_uni = build_sector_hamiltonian(params, 1.0, filling)
     h_def = build_sector_hamiltonian(params, drive.lam, filling)
-    return SectorOperator(
-        basis=h_uni.basis, matrix=_floquet_matrix(h_uni, h_def, drive.period), hermitian=False
-    )
-
-
-def _floquet_matrix(h_uni: SectorOperator, h_def: SectorOperator, period: float) -> np.ndarray:
-    """exp(-i H_def T/2) exp(-i H_uni T/2) as a dense complex matrix."""
-    half = period / 2.0
     w0, v0 = np.linalg.eigh(h_uni.matrix)  # real symmetric, v0 real
     if h_def.hermitian:
         w1, v1 = np.linalg.eigh(h_def.matrix)
         left = (v1 * np.exp(-1j * w1 * half)) @ (v1.T @ v0)
     else:
         left = expm(-1j * half * h_def.matrix) @ v0
-    return (left * np.exp(-1j * w0 * half)) @ v0.T
+    u = (left * np.exp(-1j * w0 * half)) @ v0.T
+    return SectorOperator(basis=h_uni.basis, matrix=u, hermitian=False)
 
 
 @dataclass(frozen=True)
@@ -161,61 +157,6 @@ class ManyBodySpectrumTable:
     @property
     def ground_state_weight(self) -> float:
         return float(self.weight[0])
-
-    @property
-    def max_weight(self) -> float:
-        return float(self.weight.max())
-
-
-def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Index runs of ascending ``values`` whose neighbouring gaps are at most tol."""
-    breaks = np.flatnonzero(np.diff(values) > tol) + 1
-    return np.split(np.arange(len(values)), breaks)
-
-
-def _align_clusters(phases: np.ndarray, psi: np.ndarray, h_psi: np.ndarray):
-    """Gauge-fix each degenerate eigenphase cluster of a Floquet basis.
-
-    phases are ascending in (-pi, pi]; pairs straddling the +-pi cut belong to
-    one cluster.  h_psi is the time-averaged Hamiltonian applied to psi.
-    Inside a cluster the basis is a free choice, so for every cluster of more
-    than one state this returns (idx, pw, pv): pv rotates psi[:, idx] onto
-    the eigenvectors of the projected time-averaged Hamiltonian, and pw are
-    the cluster's average energies.
-    """
-    clusters = _clusters(phases, _PHASE_CLUSTER_TOL)
-    if len(clusters) > 1 and phases[0] + 2 * np.pi - phases[-1] <= _PHASE_CLUSTER_TOL:
-        clusters[0] = np.concatenate([clusters.pop(), clusters[0]])
-    out = []
-    for idx in clusters:
-        if len(idx) > 1:
-            block = psi[:, idx]
-            proj = block.conj().T @ h_psi[:, idx]
-            pw, pv = np.linalg.eigh(0.5 * (proj + proj.conj().T))
-            out.append((idx, pw, pv))
-    return out
-
-
-def _floquet_eigenbasis(u: np.ndarray, h_avg: np.ndarray):
-    """Orthonormal Floquet eigenbasis with degenerate clusters aligned to h_avg.
-
-    Schur of the (normal) unitary gives an orthonormal basis; inside each
-    eigenphase cluster the basis is rotated to diagonalise the projected
-    time-averaged Hamiltonian, fixing the gauge ambiguity and yielding the
-    average energies directly.
-    """
-    t, q = schur(u.astype(complex), output="complex")
-    phases = np.angle(np.diag(t))
-    order = np.argsort(phases, kind="stable")
-    psi = np.ascontiguousarray(q[:, order])
-    phases = phases[order]
-    m = h_avg @ psi
-    theta = np.real(np.sum(psi.conj() * m, axis=0))
-    for idx, pw, pv in _align_clusters(phases, psi, m):
-        psi[:, idx] = psi[:, idx] @ pv
-        theta[idx] = pw
-    eigenvalues = np.exp(1j * phases)
-    return psi, theta, eigenvalues
 
 
 def _orthogonal_eigh(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,32 +214,44 @@ def _orthogonal_eigh(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.nda
     k_re += k_im
     dev = max(np.sqrt(np.max(k_re)), np.max(np.abs(np.abs(lam) - 1.0)))
     if dev > _EIGEN_RESIDUAL_TOL:
-        raise NonNormalUnitary(f"sector Floquet eigenbasis residual {dev:.2e}")
+        raise NonNormalUnitary(f"Floquet eigenbasis residual {dev:.2e}")
     return o, lam
 
 
-def _hermitian_spectrum(params: ChainParams, drive: DriveSpec, filling: int):
-    """Floquet eigenpairs and ground state in real arithmetic, for |lam| <= 1.
+def _hermitian_spectrum(half_step: Callable[[float], np.ndarray], lam: float, tau: float, m: int):
+    """Floquet eigenpairs of exp(-i H(lam) tau) exp(-i H(1) tau) in real arithmetic.
 
-    Works in the eigenbasis of H0 = H(1), where with tau = T/2 and
-    D0 = exp(-i W0 tau/2) the operator K = D0 (M^T exp(-i W1 tau) M) D0,
-    M = V1^T V0, is similar to U through exp(-i H0 tau/2) and complex
-    symmetric.  With O from _orthogonal_eigh, the Floquet states are
-    psi = D0^* O; everything below is expressed through O in K's frame.
-    Returns (phases, theta, weight), phases ascending.
+    half_step(lam) returns the real symmetric half-step Hamiltonian H(lam)
+    (|lam| <= 1), at single-particle or at sector size; each is built just
+    before its eigh, so the two are never held at once.  Works in the
+    eigenbasis of H0 = H(1), where with D0 = exp(-i W0 tau/2) the operator
+    K = D0 (M^T exp(-i W1 tau) M) D0, M = V1^T V0, is similar to U through
+    exp(-i H0 tau/2) and complex symmetric.  With O from _orthogonal_eigh,
+    the Floquet states are psi = D0^* O; everything below is expressed
+    through O in K's frame.  Returns (phases, theta, z): phases ascending,
+    the cluster-aligned average energies, and z = psi^dagger Phi_gs (n x m)
+    for the m lowest eigenvectors Phi_gs of h_avg = (H(1) + H(lam))/2.
+    Raises DegenerateFermiLevel when the m-th and (m+1)-th eigenvalues of
+    h_avg are closer than 1e-12, since Phi_gs is then no unique state.
     """
-    tau = drive.period / 2.0
-    w0, v0 = np.linalg.eigh(build_sector_hamiltonian(params, 1.0, filling).matrix)
-    w1, v1 = np.linalg.eigh(build_sector_hamiltonian(params, drive.lam, filling).matrix)
-    m = v1.T @ v0
+    w0, v0 = np.linalg.eigh(half_step(1.0))
+    w1, v1 = np.linalg.eigh(half_step(lam))
+    mix = v1.T @ v0
     del v0, v1
-    h_avg = m.T @ (w1[:, None] * m)
+    h_avg = mix.T @ (w1[:, None] * mix)
     h_avg[np.diag_indices_from(h_avg)] += w0
     h_avg *= 0.5
-    gs = np.linalg.eigh(h_avg)[1][:, 0]
-    cos1 = (m.T * np.cos(w1 * tau)) @ m  # M^T exp(-i W1 tau) M = cos1 - i sin1
-    sin1 = (m.T * np.sin(w1 * tau)) @ m
-    del m
+    e_avg, v_avg = np.linalg.eigh(h_avg)
+    if 0 < m < len(e_avg) and e_avg[m] - e_avg[m - 1] < 1e-12:
+        raise DegenerateFermiLevel(
+            f"levels {m} and {m + 1} of the averaged Hamiltonian are degenerate "
+            f"(gap {e_avg[m] - e_avg[m - 1]:.2e})"
+        )
+    gs = v_avg[:, :m].copy()
+    del v_avg
+    cos1 = (mix.T * np.cos(w1 * tau)) @ mix  # M^T exp(-i W1 tau) M = cos1 - i sin1
+    sin1 = (mix.T * np.sin(w1 * tau)) @ mix
+    del mix
     arg = np.add.outer(w0, w0) * (0.5 * tau)  # D0 X D0 multiplies X_jk by exp(-i arg_jk)
     c, s = np.cos(arg), np.sin(arg)
     del arg
@@ -308,9 +261,9 @@ def _hermitian_spectrum(params: ChainParams, drive: DriveSpec, filling: int):
     im += c * sin1
     im *= -1.0
     del c, s, cos1, sin1
-    o, lam = _orthogonal_eigh(re, im)
+    o, eig = _orthogonal_eigh(re, im)
     del re, im
-    phases = np.angle(lam)
+    phases = np.angle(eig)
     order = np.argsort(phases, kind="stable")
     o = o[:, order]
     phases = phases[order]
@@ -322,12 +275,16 @@ def _hermitian_spectrum(params: ChainParams, drive: DriveSpec, filling: int):
     theta = np.sum(o * h_o, axis=0)
     h_o = h_o + 1j * (np.ascontiguousarray(h_k.imag) @ o)
     del h_k
-    g = d0 * gs
-    z = o.T @ g.real + 1j * (o.T @ g.imag)  # psi^dagger gs
-    for idx, pw, pv in _align_clusters(phases, o, h_o):
+    g = d0[:, None] * gs
+    z = o.T @ g.real + 1j * (o.T @ g.imag)
+    # eigenphases within _PHASE_CLUSTER_TOL are one cluster, across the +-pi cut too
+    groups = _clusters(phases, _PHASE_CLUSTER_TOL)
+    if len(groups) > 1 and phases[0] + 2 * np.pi - phases[-1] <= _PHASE_CLUSTER_TOL:
+        groups[0] = np.concatenate([groups.pop(), groups[0]])
+    for idx, pw, pv in _align_clusters(groups, o, h_o):
         theta[idx] = pw
         z[idx] = pv.conj().T @ z[idx]
-    return phases, theta, np.abs(z) ** 2
+    return phases, theta, z
 
 
 def average_energy_spectrum_mb(
@@ -339,22 +296,19 @@ def average_energy_spectrum_mb(
     Floquet eigenbasis; records are sorted by theta ascending, and each
     carries its overlap weight with the infinite-frequency ground state.
     A Hermitian defect (|lam| <= 1) takes the real orthogonal eigenbasis of
-    the symmetrized operator; a non-Hermitian one raises NonNormalUnitary
-    when U^dagger U deviates from 1 by more than 1e-9.
+    the symmetrized operator.  A no-click defect (lam > 1) makes the sector
+    operator non-unitary and raises NonNormalUnitary; a degenerate ground
+    state of the averaged Hamiltonian raises DegenerateFermiLevel.
     """
-    if abs(drive.lam) <= 1.0:
-        phases, theta, weight = _hermitian_spectrum(params, drive, filling)
-    else:
-        h_uni = build_sector_hamiltonian(params, 1.0, filling)
-        h_def = build_sector_hamiltonian(params, drive.lam, filling)
-        u = _floquet_matrix(h_uni, h_def, drive.period)
-        dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-        if dev > 1e-9:
-            raise NonNormalUnitary(f"sector Floquet operator not unitary (deviation {dev:.2e})")
-        h_avg = 0.5 * (h_uni.matrix + h_def.matrix)
-        psi, theta, ev = _floquet_eigenbasis(u, h_avg)
-        phases = np.angle(ev)
-        weight = np.abs(psi.conj().T @ np.linalg.eigh(h_avg)[1][:, 0]) ** 2
+    if abs(drive.lam) > 1.0:
+        raise NonNormalUnitary(f"the sector Floquet operator is not unitary for lam = {drive.lam} > 1")
+    phases, theta, z = _hermitian_spectrum(
+        lambda lam: build_sector_hamiltonian(params, lam, filling).matrix,
+        drive.lam,
+        drive.period / 2.0,
+        1,
+    )
+    weight = np.abs(z[:, 0]) ** 2
     order = np.argsort(theta, kind="stable")
     theta = theta[order]
     weight = weight[order]
@@ -367,22 +321,6 @@ def average_energy_spectrum_mb(
     )
 
 
-def _single_particle_modes(params: ChainParams, drive: DriveSpec):
-    """Cluster-aligned single-particle Floquet modes, their thetas and h_avg.
-
-    U comes from gaussian.two_step_propagator; raises NonNormalUnitary for a
-    non-unitary (no-click) drive.
-    """
-    prop = two_step_propagator(params, drive)
-    if not prop.unitary:
-        raise NonNormalUnitary("the single-particle Floquet modes need a unitary drive (|lam| <= 1)")
-    h_avg = 0.5 * (
-        single_particle_hamiltonian(params, 1.0) + single_particle_hamiltonian(params, drive.lam)
-    )
-    psi, theta, _ = _floquet_eigenbasis(prop.matrix, h_avg)
-    return psi, theta, h_avg
-
-
 def two_step_theta_sp(params: ChainParams, drive: DriveSpec) -> np.ndarray:
     """Single-particle average energies of the two-step drive, sorted ascending.
 
@@ -393,7 +331,11 @@ def two_step_theta_sp(params: ChainParams, drive: DriveSpec) -> np.ndarray:
     """
     if drive.family is not DriveFamily.TWO_STEP:
         raise ValueError("two_step_theta_sp requires the Hermitian two-step drive family")
-    return np.sort(_single_particle_modes(params, drive)[1])
+    # m = 0: no ground state is read, so a degenerate averaged Fermi level is no error here
+    theta = _hermitian_spectrum(
+        lambda lam: single_particle_hamiltonian(params, lam).real, drive.lam, drive.period / 2.0, 0
+    )[1]
+    return np.sort(theta)
 
 
 def free_ground_state_weight(params: ChainParams, drive: DriveSpec) -> float:
@@ -414,14 +356,19 @@ def free_ground_state_weight(params: ChainParams, drive: DriveSpec) -> float:
     """
     if params.delta != 0:
         raise ValueError("free_ground_state_weight requires delta = 0")
-    psi, theta, h_avg = _single_particle_modes(params, drive)
-    order = np.argsort(theta, kind="stable")
+    if drive.family is DriveFamily.HARMONIC:
+        raise ValueError("free_ground_state_weight requires a two-step drive family")
+    if drive.family is DriveFamily.NON_HERMITIAN_TWO_STEP:
+        raise NonNormalUnitary("the single-particle Floquet modes need a unitary drive (|lam| <= 1)")
     L = params.half_length
+    _, theta, z = _hermitian_spectrum(
+        lambda lam: single_particle_hamiltonian(params, lam).real, drive.lam, drive.period / 2.0, L
+    )
+    order = np.argsort(theta, kind="stable")
     gap = theta[order[L]] - theta[order[L - 1]]
     if gap <= _THETA_GAP_TOL:
         raise DegenerateMinimalState(f"theta_L and theta_L+1 are degenerate (gap {gap:.2e})")
-    overlap = psi[:, order[:L]].conj().T @ ground_state(h_avg, L).orbitals
-    _, log_abs_det = np.linalg.slogdet(overlap)
+    _, log_abs_det = np.linalg.slogdet(z[order[:L]])
     return float(np.exp(2.0 * log_abs_det))
 
 

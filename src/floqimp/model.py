@@ -146,13 +146,3 @@ def hamiltonian_at(params: ChainParams, drive: DriveSpec, t: float) -> np.ndarra
     h[L - 1 : L + 1, L - 1 : L + 1] = harmonic_block(2.0 * np.pi * tau / T)
     return h
 
-
-def interaction_spec(params: ChainParams) -> list[tuple[int, int, float]]:
-    """Nearest-neighbour density-density terms delta * n_j n_{j+1}.
-
-    Returns one (j, j+1, delta) triple per bond (0-based sites), uniformly on
-    all 2L-1 bonds including the driven one; empty when delta == 0.
-    """
-    if params.delta == 0.0:
-        return []
-    return [(j, j + 1, params.delta) for j in range(params.n_sites - 1)]

@@ -125,11 +125,6 @@ def test_characteristic_function_vanishes_at_roots():
         assert abs(characteristic_function(r.energy, params, 2.0)) < 1e-6
 
 
-def test_grid_size_precondition():
-    with pytest.raises(ValueError):
-        characteristic_roots(ChainParams(half_length=10), 2.5, grid_size=10)
-
-
 def test_eigenvectors_from_closed_form():
     params = ChainParams(half_length=50)
     T = 2.5
@@ -198,12 +193,6 @@ def test_average_energy_bounded_by_band(T):
 def test_kato_hamiltonian_hermitian():
     hk = kato_hamiltonian_sp(ChainParams(half_length=30), 2.8)
     assert np.max(np.abs(hk - hk.conj().T)) < 1e-10
-
-
-def test_kato_locality_squared_weight_in_nonheating_phase():
-    hk = kato_hamiltonian_sp(ChainParams(half_length=50), 2.8)
-    stats = kato_locality_stats(hk)
-    assert stats.off_tridiagonal_weight_sq < 0.05
 
 
 def test_kato_antidiagonal_dominates_in_heating_phase():

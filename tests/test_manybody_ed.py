@@ -1,9 +1,16 @@
 from itertools import combinations
 from math import comb
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import schur
 
+import floqimp
+from floqimp.gaussian import DegenerateFermiLevel, ground_state, two_step_propagator
 from floqimp.model import ChainParams, DriveFamily, DriveSpec, single_particle_hamiltonian
 from floqimp import manybody_ed
 from floqimp.manybody_ed import (
@@ -163,17 +170,31 @@ def test_free_ground_state_weight_rejects_unsupported_drives():
 
 
 def test_free_ground_state_weight_rejects_tie_at_half_filling(monkeypatch):
-    eigenbasis = manybody_ed._floquet_eigenbasis
+    spectrum = manybody_ed._hermitian_spectrum
 
-    def tied(u, h_avg):
-        psi, theta, ev = eigenbasis(u, h_avg)
+    def tied(*args):
+        phases, theta, z = spectrum(*args)
         order = np.argsort(theta)
         theta[order[3]] = theta[order[2]]
-        return psi, theta, ev
+        return phases, theta, z
 
-    monkeypatch.setattr(manybody_ed, "_floquet_eigenbasis", tied)
+    monkeypatch.setattr(manybody_ed, "_hermitian_spectrum", tied)
     with pytest.raises(DegenerateMinimalState):
         free_ground_state_weight(ChainParams(half_length=3), drive(2.0))
+
+
+def test_degenerate_averaged_ground_state_raises():
+    # lam = -1 cancels the averaged central bond: h_avg is two equal
+    # half-chains, so every level is doubly degenerate and at odd L the
+    # half-filled ground state is not unique
+    params = ChainParams(half_length=3)
+    d = drive(2.0, lam=-1.0)
+    with pytest.raises(DegenerateFermiLevel):
+        free_ground_state_weight(params, d)
+    with pytest.raises(DegenerateFermiLevel):
+        average_energy_spectrum_mb(params, d, 3)
+    theta = two_step_theta_sp(params, d)
+    assert theta[0] == pytest.approx(theta[1], abs=1e-12)
 
 
 def test_lowest_k_first_value():
@@ -220,15 +241,71 @@ def test_two_step_theta_sp_rejects_no_click_drive():
         two_step_theta_sp(ChainParams(half_length=4), nh)
 
 
+def _schur_basis(u, h_avg):
+    """Floquet eigenbasis from the complex Schur of the normal matrix u (the oracle).
+
+    Eigenphases within 1e-10, across the +-pi cut too, form one cluster;
+    inside each the basis is rotated to diagonalise the projected h_avg.
+    Returns the basis, its average energies and the eigenvalues of u.
+    """
+    t, q = schur(u.astype(complex), output="complex")
+    phases = np.angle(np.diag(t))
+    order = np.argsort(phases, kind="stable")
+    psi = np.ascontiguousarray(q[:, order])
+    phases = phases[order]
+    groups = np.split(np.arange(len(phases)), np.flatnonzero(np.diff(phases) > 1e-10) + 1)
+    if len(groups) > 1 and phases[0] + 2 * np.pi - phases[-1] <= 1e-10:
+        groups[0] = np.concatenate([groups.pop(), groups[0]])
+    h_psi = h_avg @ psi
+    theta = np.real(np.sum(psi.conj() * h_psi, axis=0))
+    for idx in groups:
+        if len(idx) > 1:
+            proj = psi[:, idx].conj().T @ h_psi[:, idx]
+            pw, pv = np.linalg.eigh(0.5 * (proj + proj.conj().T))
+            psi[:, idx] = psi[:, idx] @ pv
+            theta[idx] = pw
+    return psi, theta, np.exp(1j * phases)
+
+
 def _schur_table(params, d, filling):
     """The sector table from the complex Schur of floquet_unitary_mb (the oracle)."""
     h_avg = 0.5 * (
         build_sector_hamiltonian(params, 1.0, filling).matrix
         + build_sector_hamiltonian(params, d.lam, filling).matrix
     )
-    psi, theta, ev = manybody_ed._floquet_eigenbasis(floquet_unitary_mb(params, d, filling).matrix, h_avg)
+    psi, theta, ev = _schur_basis(floquet_unitary_mb(params, d, filling).matrix, h_avg)
     weight = np.abs(psi.conj().T @ np.linalg.eigh(h_avg)[1][:, 0]) ** 2
     return -np.angle(ev) / d.period, theta, weight
+
+
+def _schur_single_particle(params, d):
+    """Sorted single-particle theta and the free determinant weight from the Schur oracle."""
+    h_avg = 0.5 * (single_particle_hamiltonian(params, 1.0) + single_particle_hamiltonian(params, d.lam))
+    psi, theta, _ = _schur_basis(two_step_propagator(params, d).matrix, h_avg)
+    L = params.half_length
+    order = np.argsort(theta, kind="stable")
+    if theta[order[L]] - theta[order[L - 1]] <= 1e-10:
+        return np.sort(theta), None
+    overlap = psi[:, order[:L]].conj().T @ ground_state(h_avg, L).orbitals
+    return np.sort(theta), abs(np.linalg.det(overlap)) ** 2
+
+
+_SP_CASES = [
+    (L, lam, T) for L in (4, 25) for lam in (-0.3, 0.0, 0.5, 1.0) for T in (2.0, 2.8, 3.5, 3.559, 4.0)
+] + [(200, 0.5, 2.8), (200, 0.5, 3.5)]
+
+
+@pytest.mark.parametrize("L, lam, T", _SP_CASES)
+def test_single_particle_routes_match_schur_oracle(L, lam, T):
+    params = ChainParams(half_length=L)
+    d = drive(T, lam)
+    theta, weight = _schur_single_particle(params, d)
+    assert np.max(np.abs(two_step_theta_sp(params, d) - theta)) < 1e-10
+    if weight is None:
+        with pytest.raises(DegenerateMinimalState):
+            free_ground_state_weight(params, d)
+    elif weight > 1e-6:
+        assert abs(free_ground_state_weight(params, d) - weight) < 1e-10
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.1])
@@ -275,6 +352,26 @@ def test_average_energy_table_rejects_no_click_drive():
     no_click = DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.0, lam=1.5)
     with pytest.raises(NonNormalUnitary):
         average_energy_spectrum_mb(ChainParams(half_length=3), no_click, 3)
+
+
+def test_no_click_table_raises_before_building_the_sector(monkeypatch):
+    def build(*args):
+        raise AssertionError("the no-click table built a sector matrix")
+
+    monkeypatch.setattr(manybody_ed, "build_sector_hamiltonian", build)
+    no_click = DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.0, lam=1.5)
+    with pytest.raises(NonNormalUnitary):
+        average_energy_spectrum_mb(ChainParams(half_length=3), no_click, 3)
+
+
+def test_no_floqimp_module_binds_the_complex_schur():
+    # the complex Schur is the test oracle only; production runs real eigh
+    modules = [floqimp] + [
+        importlib.import_module(f"floqimp.{info.name}") for info in pkgutil.iter_modules(floqimp.__path__)
+    ]
+    for mod in modules:
+        bound = [name for name, value in vars(mod).items() if value is scipy.linalg.schur]
+        assert not bound, f"{mod.__name__} binds scipy.linalg.schur as {bound}"
 
 
 def test_average_energy_table_aligns_a_shared_phase_to_theta():

@@ -9,7 +9,6 @@ from floqimp.model import (
     hamiltonian_at,
     impurity_block,
     imbalance_matrix,
-    interaction_spec,
     single_particle_hamiltonian,
 )
 from floqimp.floquet_analytics import mirror_operator
@@ -124,14 +123,6 @@ def test_negative_time_rejected():
     drive = DriveSpec(DriveFamily.TWO_STEP, period=1.0, lam=0.5)
     with pytest.raises(ValueError):
         hamiltonian_at(params, drive, -0.1)
-
-
-def test_interaction_spec_counts():
-    assert interaction_spec(ChainParams(half_length=7, delta=0.0)) == []
-    terms = interaction_spec(ChainParams(half_length=7, delta=0.1))
-    assert len(terms) == 13
-    assert all(t[2] == 0.1 and t[1] == t[0] + 1 for t in terms)
-    assert len(interaction_spec(ChainParams(half_length=2, delta=0.15))) == 3
 
 
 def test_bond_and_imbalance_matrices():
