@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .model import ChainParams, DriveFamily, DriveSpec
-from . import diagnostics, floquet_analytics, gaussian, manybody_ed
+from . import checks, diagnostics, floquet_analytics, gaussian, manybody_ed
 
 ENV_PREFIX = "FLOQIMP_"
 # default of evolve's n-sub: no midpoint product, the harmonic drive runs
@@ -207,9 +207,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         theta = floquet_analytics.average_energy_sp(params, v["T"], method="analytic").theta
         rows = [(n, root.energy, th, "", "roots") for n, (root, th) in enumerate(zip(roots, theta))]
         if v["with-diag"]:
-            eigs = np.sort(
-                np.linalg.eigvalsh(floquet_analytics.floquet_hamiltonian_exact(params, v["T"]))
-            )
+            eigs = np.linalg.eigvalsh(floquet_analytics.floquet_hamiltonian_exact(params, v["T"]))
             rows = [(*row, abs(row[1] - e)) for row, e in zip(rows, eigs)]
             header += ",residual"
     elif v["sites"] % 2:
@@ -300,146 +298,11 @@ def cmd_gap(cfg: RunConfig) -> int:
 # --- verify -------------------------------------------------------------------
 
 
-def _suite_su2():
-    rep = floquet_analytics.su2_check(30)
-    return [("su2_max_deviation", rep.max_deviation, 1e-13, rep.max_deviation < 1e-13)]
-
-
-def _suite_micromotion():
-    sig = floquet_analytics.mirror_operator(40)
-    w, vv = np.linalg.eigh(sig)
-    dev = float(np.max(np.abs((vv * np.exp(1j * np.pi * (w - 1.0))) @ vv.conj().T - np.eye(80))))
-    return [("micromotion_identity", dev, 1e-12, dev < 1e-12)]
-
-
-def _suite_eq4():
-    params = ChainParams(half_length=50)
-    out = []
-    for T in (0.7, 2.5, 3.3):
-        exact = gaussian.harmonic_propagator(params, T).matrix
-        u = gaussian.harmonic_propagator(params, T, n_sub=4096).matrix
-        dev = float(np.max(np.abs(u - exact)))
-        out.append((f"eq4_deviation_T{T}", dev, 1e-5, dev < 1e-5))
-    return out
-
-
-def _suite_roots():
-    out = []
-    for L in (5, 20, 50):
-        params = ChainParams(half_length=L)
-        for T in (1.0, 2.5, 3.3, 5.0):
-            roots = floquet_analytics.characteristic_roots(params, T)
-            eigs = np.sort(
-                np.linalg.eigvalsh(floquet_analytics.floquet_hamiltonian_exact(params, T))
-            )
-            err = float(np.max(np.abs(np.array([r.energy for r in roots]) - eigs)))
-            out.append((f"roots_error_L{L}_T{T}", err, 1e-9, err < 1e-9))
-    return out
-
-
-def _suite_sw():
-    params = ChainParams(half_length=40)
-    Ts = np.geomspace(0.05, 0.4, 7)
-    errs = []
-    for T in Ts:
-        hf = floquet_analytics.floquet_hamiltonian_exact(params, float(T))
-        lower = np.sort(np.linalg.eigvalsh(hf))[:40]
-        approx = np.sort(np.linalg.eigvalsh(floquet_analytics.sw_effective_hamiltonian(params, float(T))))
-        errs.append(np.max(np.abs(lower - approx)))
-    slope = float(np.polyfit(np.log(Ts), np.log(errs), 1)[0])
-    return [("sw_error_exponent", slope, 2.7, slope >= 2.7)]
-
-
-def _suite_gap():
-    params = ChainParams(half_length=200)
-    Ts = np.arange(0.2, 3.301, 0.1)
-    gaps = [floquet_analytics.quasienergy_gap(params, float(T)) for T in Ts]
-    # monotone decrease holds up to the critical period; beyond it the
-    # collapsed gap is a fluctuating level spacing
-    below_pi = Ts <= np.pi
-    monotone = bool(np.all(np.diff(np.array(gaps)[below_pi]) < 1e-12))
-    crossing = None
-    for T, g in zip(Ts, gaps):
-        if g < 1e-2:
-            crossing = float(T)
-            break
-    ok = crossing is not None and 3.0 <= crossing <= 3.3
-    return [
-        ("gap_monotone_decreasing_below_pi", float(monotone), 1.0, monotone),
-        ("gap_crossing_T", -1.0 if crossing is None else crossing, 3.3, ok),
-    ]
-
-
-def _suite_hermiticity():
-    from .model import single_particle_hamiltonian
-
-    params = ChainParams(half_length=50)
-    out = []
-    for lam in (1.2, 2.0):
-        h = single_particle_hamiltonian(params, lam)
-        imax = float(np.max(np.abs(np.linalg.eigvals(h).imag)))
-        out.append((f"pt_static_real_spectrum_lam{lam}", imax, 1e-9, imax < 1e-9))
-    dev = float(
-        np.max(np.abs(single_particle_hamiltonian(params, 0.5).imag))
-    )
-    out.append(("hermitian_defect_real", dev, 1e-15, dev <= 1e-15))
-    return out
-
-
-def _suite_pt():
-    params = ChainParams(half_length=200)
-    p1 = diagnostics.pt_classify(
-        params, DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.7, lam=2.0)
-    )
-    p2 = diagnostics.pt_classify(
-        params, DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.8, lam=2.0)
-    )
-    return [
-        ("pt_symmetric_T2.7", p1.score, 1e-6, p1.label is diagnostics.PhaseLabel.PT_SYMMETRIC),
-        ("pt_broken_T2.8", p2.score, 1e-6, p2.label is diagnostics.PhaseLabel.PT_BROKEN),
-    ]
-
-
-def _suite_kato():
-    params = ChainParams(half_length=50)
-    out = []
-    hk = floquet_analytics.kato_hamiltonian_sp(params, 2.8)
-    herm = float(np.max(np.abs(hk - hk.conj().T)))
-    out.append(("kato_hermitian", herm, 1e-10, herm < 1e-10))
-    s1 = floquet_analytics.kato_locality_stats(hk)
-    out.append(("kato_offtri_T2.8", s1.off_tridiagonal_weight, 0.05, s1.off_tridiagonal_weight < 0.05))
-    s2 = floquet_analytics.kato_locality_stats(floquet_analytics.kato_hamiltonian_sp(params, 3.3))
-    out.append(("kato_offtri_T3.3", s2.off_tridiagonal_weight, 0.20, s2.off_tridiagonal_weight > 0.20))
-    out.append(
-        (
-            "kato_antidiag_dominance_T3.3",
-            s2.antidiagonal_mean / s2.background_mean,
-            1.0,
-            s2.antidiagonal_mean > s2.background_mean,
-        )
-    )
-    return out
-
-
-_SUITES = {
-    "su2": _suite_su2,
-    "micromotion": _suite_micromotion,
-    "eq4": _suite_eq4,
-    "roots": _suite_roots,
-    "sw": _suite_sw,
-    "gap": _suite_gap,
-    "hermiticity": _suite_hermiticity,
-    "pt": _suite_pt,
-    "kato": _suite_kato,
-}
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     name = cfg.values["suite"]
-    names = list(_SUITES) if name == "all" else [name]
     failed = 0
-    for suite in names:
-        for check, measured, bound, ok in _SUITES[suite]():
+    for suite in checks.SUITES if name == "all" else [name]:
+        for check, measured, bound, ok in checks.SUITES[suite]():
             status = "pass" if ok else "FAIL"
             print(f"{check} measured={measured:.6g} bound={bound:g} {status}")
             failed += not ok
@@ -500,7 +363,7 @@ _OPTIONS = {
         "threads": (int, 1, None),
         "out": (str, "-", None),
     },
-    "verify": {"suite": (str, "all", ("all", *_SUITES))},
+    "verify": {"suite": (str, "all", ("all", *checks.SUITES))},
 }
 
 _HELP = {"out": "output CSV path ('-' for stdout)", "threads": "parallel workers over grid points"}

@@ -368,25 +368,6 @@ def pt_boundary(
     return None
 
 
-def refine_pt_boundary(
-    params: ChainParams,
-    lam: float,
-    lo: float,
-    hi: float,
-    tol_T: float = 1e-3,
-    tol: float = DEFAULT_PT_TOL,
-) -> float:
-    """Bisect a bracketing interval (symmetric at lo, broken at hi)."""
-    while hi - lo > tol_T:
-        mid = 0.5 * (lo + hi)
-        point = pt_classify(params, _drive_for(lam, mid), tol=tol)
-        if point.label is PhaseLabel.PT_SYMMETRIC:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def gap_curve(
     params: ChainParams,
     T_values: np.ndarray,

@@ -132,8 +132,6 @@ def quasienergy_gap(params: ChainParams, T: float) -> float:
 #
 # with x+ = -(E + 2 pi/T), x- = -E.  g is the characteristic polynomial of
 # h_F up to a constant: continuous, pole-free, sign-changing at every root.
-# The ratio form is kept for residual reporting, but is ill-conditioned at
-# roots that sit close to one of its poles.
 
 
 def _chebyshev_u_pair(x: float, L: int) -> tuple[float, float]:
@@ -166,27 +164,6 @@ def _char_poly(E: float, L: int, T: float) -> float:
     up_l, up_l1 = _chebyshev_u_pair(xp, L)
     um_l, um_l1 = _chebyshev_u_pair(xm, L)
     return up_l * um_l - um_l1 * up_l1
-
-
-def _sinh_ratio(x: float, m: float, n: float) -> float:
-    """sinh(kappa m)/sinh(kappa n) for cosh(kappa) = x, real for real x."""
-    if abs(x) <= 1.0:
-        q = np.arccos(x)
-        return np.sin(q * m) / np.sin(q * n)
-    r = np.arccosh(abs(x))
-    if r * max(m, n) < 350.0:
-        v = np.sinh(r * m) / np.sinh(r * n)
-    else:
-        v = np.exp(r * (m - n)) * (-np.expm1(-2 * r * m)) / (-np.expm1(-2 * r * n))
-    if x < -1.0 and (m - n) % 2:
-        v = -v
-    return v
-
-
-def characteristic_function(E: float, params: ChainParams, T: float) -> float:
-    """Ratio form of the spectral condition; vanishes at h_F eigenvalues."""
-    L = params.half_length
-    return _sinh_ratio(-(E + 2 * np.pi / T), L, L + 1) - _sinh_ratio(-E, L + 1, L)
 
 
 @dataclass(frozen=True)

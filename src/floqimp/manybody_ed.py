@@ -300,6 +300,8 @@ def average_energy_spectrum_mb(
     operator non-unitary and raises NonNormalUnitary; a degenerate ground
     state of the averaged Hamiltonian raises DegenerateFermiLevel.
     """
+    if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
+        raise ValueError("average_energy_spectrum_mb requires a two-step drive family")
     if abs(drive.lam) > 1.0:
         raise NonNormalUnitary(f"the sector Floquet operator is not unitary for lam = {drive.lam} > 1")
     phases, theta, z = _hermitian_spectrum(

@@ -37,14 +37,11 @@ class ChainParams:
     """
 
     half_length: int
-    hopping: float = 1.0
     delta: float = 0.0
 
     def __post_init__(self):
         if self.half_length < 2:
             raise ValueError(f"half_length must be >= 2, got {self.half_length}")
-        if self.hopping != 1.0:
-            raise ValueError("hopping is fixed to 1 in this model")
 
     @property
     def n_sites(self) -> int:

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from floqimp import cli
+from floqimp import checks, cli
 from floqimp.cli import main
+from floqimp.floquet_analytics import RootCountMismatch
 
 
 def run(capsys, *argv):
@@ -176,6 +177,23 @@ def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "su2")
     assert code == 0
     assert "su2_max_deviation" in out and "pass" in out
+
+
+def test_verify_failing_row_prints_fail_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(checks.SUITES, "su2", lambda: [("planted", 2.0, 1.0, False)])
+    code, out, _ = run(capsys, "verify", "--suite", "su2")
+    assert code == 1
+    assert out == "planted measured=2 bound=1 FAIL\n"
+
+
+def test_verify_model_error_exits_3(capsys, monkeypatch):
+    def mismatch():
+        raise RootCountMismatch("planted")
+
+    monkeypatch.setitem(checks.SUITES, "roots", mismatch)
+    code, _, err = run(capsys, "verify", "--suite", "roots")
+    assert code == 3
+    assert err.startswith("RootCountMismatch")
 
 
 def test_config_file_and_env_precedence(tmp_path, capsys, monkeypatch):

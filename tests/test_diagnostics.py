@@ -21,7 +21,6 @@ from floqimp.diagnostics import (
     pt_boundary,
     pt_classify,
     quasiparticle_velocity,
-    refine_pt_boundary,
     revival_period,
 )
 
@@ -227,8 +226,6 @@ def test_pt_boundary_bracket_and_refinement():
     grid = np.arange(2.0, 3.5, 0.05)
     est = pt_boundary(params, 2.0, grid)
     assert est is not None and est < np.pi
-    fine = refine_pt_boundary(params, 2.0, est - 0.025, est + 0.025)
-    assert abs(fine - est) < 0.05
 
 
 def test_gap_curve_high_frequency_harmonic():

@@ -354,6 +354,13 @@ def test_average_energy_table_rejects_no_click_drive():
         average_energy_spectrum_mb(ChainParams(half_length=3), no_click, 3)
 
 
+def test_average_energy_table_rejects_harmonic_drive():
+    # a harmonic DriveSpec has lam = 1 and must not get the two-step table
+    harmonic = DriveSpec(DriveFamily.HARMONIC, period=2.0)
+    with pytest.raises(ValueError):
+        average_energy_spectrum_mb(ChainParams(half_length=3), harmonic, 3)
+
+
 def test_no_click_table_raises_before_building_the_sector(monkeypatch):
     def build(*args):
         raise AssertionError("the no-click table built a sector matrix")
