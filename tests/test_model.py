@@ -63,6 +63,12 @@ def test_defect_spectral_range():
     assert w[0] >= -1.1 and w[-1] <= 1.1
 
 
+@pytest.mark.parametrize("lam", [1.2, 2.0])
+def test_static_pt_real_spectrum(lam):
+    h = single_particle_hamiltonian(ChainParams(half_length=50), lam)
+    assert np.max(np.abs(np.linalg.eigvals(h).imag)) < 1e-9
+
+
 def test_bulk_bandwidth_approaches_two():
     w = np.linalg.eigvalsh(single_particle_hamiltonian(ChainParams(half_length=200), 1.0))
     width = w[-1] - w[0]
