@@ -402,6 +402,7 @@ _MODEL_ERRORS = (
     floquet_analytics.NormalizationUnderflow,
     gaussian.DegenerateFermiLevel,
     gaussian.RankDeficient,
+    gaussian.NonUnitaryPropagator,
     manybody_ed.SectorTooLarge,
     manybody_ed.NonNormalUnitary,
     manybody_ed.KOutOfRange,

@@ -91,7 +91,9 @@ def stroboscopic_states(
     The initial state comes first at (0, 0.0), then the state after every
     step; a period's last step lands on t = cycle * period.  Non-unitary
     steps renormalise the orbitals (no-click evolution); unitary steps
-    propagate them directly.
+    propagate them directly.  ``evolve`` does not re-check orthonormality,
+    so the last state is re-checked: drift above 1e-8 accumulated over the
+    run raises ValueError there.
     """
     state = half_filled_ground_state(params)
     yield 0, 0.0, state
@@ -99,6 +101,8 @@ def stroboscopic_states(
     for n in range(1, cycles + 1):
         for j, prop in enumerate(steps, 1):
             state = evolve(state, prop, renormalize=not prop.unitary)
+            if n == cycles and j == k:
+                state = GaussianState(orbitals=state.orbitals)
             t = n * period if j == k else (n - 1) * period + j * period / k
             yield n, t, state
 
@@ -208,11 +212,6 @@ def quasiparticle_velocity(delta: float) -> float:
     if delta == 0.0:
         return 1.0
     return float(0.5 * np.pi * np.sqrt(1.0 - delta * delta) / np.arccos(delta))
-
-
-def expected_revival_period(params: ChainParams) -> float:
-    """Ballistic revival period 2L / v(delta) of the half-chain entropy."""
-    return params.n_sites / quasiparticle_velocity(params.delta)
 
 
 def revival_period(series: EETimeSeries, min_prominence: float = DEFAULT_MIN_PROMINENCE) -> float:

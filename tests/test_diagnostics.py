@@ -3,7 +3,7 @@ import pytest
 from scipy.signal import find_peaks
 
 from floqimp import diagnostics
-from floqimp.gaussian import two_step_propagator
+from floqimp.gaussian import Propagator, two_step_propagator
 from floqimp.model import ChainParams, DriveFamily, DriveSpec
 from floqimp.diagnostics import (
     CayleyPole,
@@ -14,7 +14,6 @@ from floqimp.diagnostics import (
     cayley_eigenvalues,
     classify_heating,
     count_recurrences,
-    expected_revival_period,
     gap_curve,
     half_chain_series,
     phase_diagram,
@@ -22,6 +21,7 @@ from floqimp.diagnostics import (
     pt_classify,
     quasiparticle_velocity,
     revival_period,
+    stroboscopic_states,
 )
 
 PARAMS = ChainParams(half_length=4)
@@ -140,10 +140,6 @@ def test_prominent_minima_match_find_peaks_on_quench_series(quench_series, rel_p
 def test_velocity_formula_values():
     assert quasiparticle_velocity(0.0) == 1.0
     assert quasiparticle_velocity(0.5) == pytest.approx(1.5 * np.sqrt(0.75), abs=1e-12)
-    assert expected_revival_period(ChainParams(half_length=50)) == pytest.approx(100.0)
-    assert expected_revival_period(
-        ChainParams(half_length=50, delta=0.5)
-    ) == pytest.approx(100.0 / 1.299038105676658, rel=1e-9)
 
 
 def test_measured_revival_matches_ballistic_prediction():
@@ -151,7 +147,19 @@ def test_measured_revival_matches_ballistic_prediction():
     drv = DriveSpec(DriveFamily.TWO_STEP, period=2.8, lam=0.8)
     ser = half_chain_series(params, drv, 120)
     tau = revival_period(ser)
-    assert tau == pytest.approx(expected_revival_period(params), rel=0.07)
+    assert tau == pytest.approx(params.n_sites / quasiparticle_velocity(params.delta), rel=0.07)
+
+
+def test_stroboscopic_states_recheck_orthonormality_at_the_last_step():
+    u = two_step_propagator(ChainParams(half_length=10), DRIVE).matrix
+    # U^dagger U deviates by about 8e-9: accepted as unitary, but the drift
+    # grows by that much per cycle and passes 1e-8 after the second
+    prop = Propagator(matrix=(1.0 + 4e-9) * u, unitary=True)
+    seen = []
+    with pytest.raises(ValueError, match="orthonormal"):
+        for n, _, _ in stroboscopic_states(ChainParams(half_length=10), DRIVE.period, (prop,), 10):
+            seen.append(n)
+    assert seen == list(range(10))
 
 
 def test_pt_hermitian_always_symmetric():

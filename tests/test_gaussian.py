@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from floqimp import gaussian
+from floqimp import cli, gaussian
 from floqimp.model import ChainParams, DriveFamily, DriveSpec, single_particle_hamiltonian
 from floqimp.gaussian import (
     DegenerateFermiLevel,
     GaussianState,
+    NonUnitaryPropagator,
     Propagator,
     RankDeficient,
     entanglement_entropy,
@@ -165,6 +166,77 @@ def test_evolve_identity_keeps_state():
     prop = Propagator(matrix=np.eye(12, dtype=complex), unitary=True)
     out = evolve(state, prop, renormalize=False)
     assert np.array_equal(out.orbitals, state.orbitals)
+
+
+def test_gaussian_state_rejects_non_orthonormal_orbitals():
+    phi = np.eye(6, 3, dtype=complex)
+    phi[0, 1] = 1e-6
+    with pytest.raises(ValueError, match="orthonormal"):
+        GaussianState(orbitals=phi)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+def test_propagator_rejects_non_square_matrix(shape):
+    with pytest.raises(ValueError, match="square"):
+        Propagator(matrix=np.ones(shape, dtype=complex), unitary=False)
+
+
+def test_unitary_flag_is_checked_at_construction():
+    with pytest.raises(NonUnitaryPropagator):
+        Propagator(matrix=2.0 * np.eye(8, dtype=complex), unitary=True)
+    Propagator(matrix=2.0 * np.eye(8, dtype=complex), unitary=False)
+
+
+def test_non_unitary_propagator_is_a_cli_model_error(capsys, monkeypatch):
+    assert NonUnitaryPropagator in cli._MODEL_ERRORS
+    monkeypatch.setattr(gaussian, "_expm_h", lambda h, t: 2.0 * np.eye(h.shape[0], dtype=complex))
+    code = cli.main(["evolve", "--family", "two-step", "--L", "4", "--T", "2.5", "--cycles", "2", "--out", "-"])
+    assert code == 3 and "NonUnitaryPropagator" in capsys.readouterr().err
+
+
+WINDOW_PARAMS = ChainParams(half_length=100)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: two_step_propagator(WINDOW_PARAMS, DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5)),
+        lambda: two_step_propagator(
+            WINDOW_PARAMS, DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.5, lam=1.2)
+        ),
+        lambda: harmonic_propagator(WINDOW_PARAMS, 4.2),
+        lambda: Propagator(matrix=np.eye(200, dtype=complex), unitary=True),
+    ],
+    ids=["two-step", "no-click", "harmonic", "identity"],
+)
+def test_windowed_evolve_matches_dense_product(make):
+    prop = make()
+    state = half_filled_ground_state(WINDOW_PARAMS)
+    dense = prop.matrix @ state.orbitals
+    if prop.unitary:
+        assert np.max(np.abs(evolve(state, prop, renormalize=False).orbitals - dense)) < 1e-13
+        return
+    q, _ = np.linalg.qr(dense)
+    c = evolve(state, prop, renormalize=True).correlation_matrix()
+    assert np.max(np.abs(c - q @ q.conj().T)) < 1e-13
+
+
+@pytest.mark.parametrize("T", [2.3, 4.4])
+def test_two_step_windows_follow_the_light_cone(T):
+    prop = two_step_propagator(ChainParams(half_length=200), DriveSpec(DriveFamily.TWO_STEP, period=T, lam=0.5))
+    assert [r for r0, r1, _, _ in prop.windows for r in range(r0, r1)] == list(range(400))
+    assert max(hi - lo for _, _, lo, hi in prop.windows) <= 100
+    outside = np.abs(prop.matrix)
+    for r0, r1, lo, hi in prop.windows:
+        outside[r0:r1, lo:hi] = 0.0
+    assert outside.max() <= 1e-15 * np.abs(prop.matrix).max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_propagator_keeps_full_windows(bad):
+    u = np.eye(60, dtype=complex)
+    u[0, 0] = bad
+    assert Propagator(matrix=u, unitary=False).windows == ((0, 25, 0, 60), (25, 50, 0, 60), (50, 60, 0, 60))
 
 
 def test_evolve_unitary_preserves_orthonormality_without_qr():
