@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .floquet_analytics import floquet_hamiltonian_exact
 from .model import ChainParams, DriveFamily, DriveSpec, harmonic_block, single_particle_hamiltonian
@@ -34,9 +33,6 @@ _ORTHO_TOL = 1e-8
 _WINDOW_ROWS = 25
 _WINDOW_FLOOR = 1e-15
 _CLIP = 1e-14
-# Pade entries below this are set to zero: squaring a banded exponent leaves
-# subnormal entries far from the band, which slow every later product ~10x
-_FLUSH = 1e-30
 
 
 class DegenerateFermiLevel(Exception):
@@ -94,8 +90,8 @@ class Propagator:
     max|U^dagger U - 1| above 1e-8 raises NonUnitaryPropagator.
     ``windows`` lists (r0, r1, lo, hi) per block of rows r0 .. r1-1: the
     block's entries above 1e-15 max|U| lie in columns lo .. hi-1, and
-    ``evolve`` multiplies only those.  Both run in row or column blocks, so
-    no full-size temporary is made.
+    ``evolve`` multiplies only those.  The check sums U^dagger U over the
+    same windows.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -108,13 +104,6 @@ class Propagator:
             raise ValueError(f"propagator must be a square matrix, got shape {u.shape}")
         n = u.shape[0]
         blocks = [(r0, min(r0 + _WINDOW_ROWS, n)) for r0 in range(0, n, _WINDOW_ROWS)]
-        if self.unitary:
-            dev = max(
-                (np.max(np.abs(u[:, c0:c1].conj().T @ u - np.eye(c1 - c0, n, c0))) for c0, c1 in blocks),
-                default=0.0,
-            )
-            if not dev <= _ORTHO_TOL:
-                raise NonUnitaryPropagator(f"propagator marked unitary deviates by {dev:.2e}")
         col_max = np.array([np.abs(u[r0:r1]).max(axis=0) for r0, r1 in blocks])
         floor = _WINDOW_FLOOR * col_max.max(initial=0.0)
         # a matrix with inf or nan entries keeps every column, as the dense product would
@@ -124,6 +113,16 @@ class Propagator:
             cols = np.flatnonzero(row)
             windows.append((r0, r1, int(cols[0]), int(cols[-1]) + 1) if len(cols) else (r0, r1, 0, 0))
         object.__setattr__(self, "windows", tuple(windows))
+        if self.unitary:
+            # U^dagger U = sum over row blocks of U_b^dagger U_b, each within its window
+            gram = np.zeros((n, n), dtype=np.result_type(u, 1.0))
+            for r0, r1, lo, hi in windows:
+                block = u[r0:r1, lo:hi]
+                gram[lo:hi, lo:hi] += block.conj().T @ block
+            gram[np.diag_indices(n)] -= 1.0
+            dev = np.max(np.abs(gram), initial=0.0)
+            if not dev <= _ORTHO_TOL:
+                raise NonUnitaryPropagator(f"propagator marked unitary deviates by {dev:.2e}")
 
 
 @dataclass(frozen=True)
@@ -170,31 +169,42 @@ def half_filled_ground_state(params: ChainParams) -> GaussianState:
     return ground_state(single_particle_hamiltonian(params, 1.0), params.half_length)
 
 
-def _expm_h(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) via eigendecomposition for Hermitian h, Pade otherwise.
+def _uniform_exponentials(params: ChainParams, drive: DriveSpec, *fractions: float) -> list[np.ndarray]:
+    """exp(-i h(1) f T) for each fraction f of the two-step period T.
 
-    Pade entries (real and imaginary parts separately) below 1e-30 are set
-    to zero, so the result holds no subnormal numbers.
+    One eigh of the real uniform chain serves them all.  The mirror P
+    (j <-> 2L+1-j) leaves h(1) exactly invariant, so each is made exactly
+    mirror symmetric, as ``_mirror_rotation`` requires.
     """
-    if np.max(np.abs(h - h.conj().T)) < 1e-12:
-        if not np.any(h.imag):
-            h = h.real  # real-symmetric solver is noticeably faster
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
-    u = expm(-1j * t * h)
-    for part in (u.real, u.imag):
-        part[np.abs(part) < _FLUSH] = 0.0
-    return u
-
-
-def _two_step_halves(params: ChainParams, drive: DriveSpec) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i h(1) T/2) and exp(-i h(lam) T/2), in the order they act."""
     if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
         raise ValueError("two-step factors require a two-step drive family")
-    half = drive.period / 2.0
-    uniform = _expm_h(single_particle_hamiltonian(params, 1.0), half)
-    defect = _expm_h(single_particle_hamiltonian(params, drive.lam), half)
-    return uniform, defect
+    w, v = np.linalg.eigh(single_particle_hamiltonian(params, 1.0).real)
+    out = []
+    for f in fractions:
+        e = np.empty(v.shape, dtype=complex)
+        e.real = (v * np.cos(w * f * drive.period)) @ v.T
+        e.imag = (v * -np.sin(w * f * drive.period)) @ v.T
+        out.append(0.5 * (e + e[::-1, ::-1]))
+    return out
+
+
+def _mirror_rotation(e: np.ndarray, lam: float) -> np.ndarray:
+    """exp(-i h(lam) t) from e = exp(-i h(1) t), which must be mirror symmetric.
+
+    The defect is the uniform central bond rotated by the mirror operator:
+    h(lam) = R h(1) R^-1, R = exp(i theta sigma) = cos theta + i sin theta sigma
+    with cos 2 theta = lam (theta imaginary for lam > 1).  For e = P e P,
+    R e R^-1 = cos^2 e + sin^2 sigma e sigma + i cos sin (sigma e - e sigma)
+    is a signed reversal of e's blocks: the cross-half blocks scale by lam,
+    and each half's block gains -+w times the row-reversed cross-half block,
+    w = sin 2 theta = sqrt(1 - lam^2).
+    """
+    L = e.shape[0] // 2
+    w = np.sqrt(complex(1.0 - lam * lam))
+    out = lam * e
+    out[:L, :L] = e[:L, :L] - w * e[L:, :L][::-1]
+    out[L:, L:] = e[L:, L:] + w * e[:L, L:][::-1]
+    return out
 
 
 def two_step_factors(params: ChainParams, drive: DriveSpec) -> tuple[Propagator, Propagator]:
@@ -203,10 +213,10 @@ def two_step_factors(params: ChainParams, drive: DriveSpec) -> tuple[Propagator,
     exp(-i h(1) T/2) (the uniform half, unitary) then exp(-i h(lam) T/2)
     (the defect half, unitary iff |lam| <= 1).
     """
-    uniform, defect = _two_step_halves(params, drive)
+    (uniform,) = _uniform_exponentials(params, drive, 0.5)
     return (
         Propagator(matrix=uniform, unitary=True),
-        Propagator(matrix=defect, unitary=abs(drive.lam) <= 1.0),
+        Propagator(matrix=_mirror_rotation(uniform, drive.lam), unitary=abs(drive.lam) <= 1.0),
     )
 
 
@@ -217,8 +227,8 @@ def two_step_propagator(params: ChainParams, drive: DriveSpec) -> Propagator:
     ``two_step_factors``; the right factor acts first.  Unitary iff
     |lam| <= 1.
     """
-    uniform, defect = _two_step_halves(params, drive)
-    return Propagator(matrix=defect @ uniform, unitary=abs(drive.lam) <= 1.0)
+    (uniform,) = _uniform_exponentials(params, drive, 0.5)
+    return Propagator(matrix=_mirror_rotation(uniform, drive.lam) @ uniform, unitary=abs(drive.lam) <= 1.0)
 
 
 def symmetrized_two_step(params: ChainParams, drive: DriveSpec) -> np.ndarray:
@@ -230,11 +240,8 @@ def symmetrized_two_step(params: ChainParams, drive: DriveSpec) -> np.ndarray:
     symmetric h), and P conj(K) P = K^-1 for lam > 1 (PT, with P the mirror
     j <-> 2L+1-j).
     """
-    if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
-        raise ValueError("the symmetrized period requires a two-step drive family")
-    quarter = _expm_h(single_particle_hamiltonian(params, 1.0), drive.period / 4.0)
-    defect = _expm_h(single_particle_hamiltonian(params, drive.lam), drive.period / 2.0)
-    return quarter @ defect @ quarter
+    quarter, half = _uniform_exponentials(params, drive, 0.25, 0.5)
+    return quarter @ _mirror_rotation(half, drive.lam) @ quarter
 
 
 def harmonic_propagator(params: ChainParams, T: float, n_sub: int | None = None) -> Propagator:
@@ -248,7 +255,8 @@ def harmonic_propagator(params: ChainParams, T: float, n_sub: int | None = None)
     the closed form is checked against.
     """
     if n_sub is None:
-        return Propagator(matrix=_expm_h(floquet_hamiltonian_exact(params, T), T), unitary=True)
+        w, v = np.linalg.eigh(floquet_hamiltonian_exact(params, T))
+        return Propagator(matrix=(v * np.exp(-1j * w * T)) @ v.conj().T, unitary=True)
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
     dt = T / n_sub

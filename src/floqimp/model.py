@@ -122,24 +122,3 @@ def imbalance_matrix(L: int) -> np.ndarray:
     o[L, L] = -1.0
     return o
 
-
-def hamiltonian_at(params: ChainParams, drive: DriveSpec, t: float) -> np.ndarray:
-    """Instantaneous single-particle Hamiltonian at time t >= 0.
-
-    Two-step families: uniform chain for (t mod T) in [0, T/2), defect at
-    strength lam otherwise.  Harmonic: the mirror-rotated uniform chain,
-    whose central block is ``harmonic_block(2 pi t / T)``; this is smooth
-    in t and equals the uniform chain at t = 0.
-    """
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    T = drive.period
-    tau = t % T
-    if drive.family in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
-        lam = 1.0 if tau < T / 2.0 else drive.lam
-        return single_particle_hamiltonian(params, lam)
-    L = params.half_length
-    h = single_particle_hamiltonian(params, 1.0)
-    h[L - 1 : L + 1, L - 1 : L + 1] = harmonic_block(2.0 * np.pi * tau / T)
-    return h
-

@@ -572,6 +572,20 @@ def test_evolve_and_spectrum_csv_determinism_contract(case, blas_threads, tmp_pa
     assert _cli_subprocess(tmp_path, "b.csv", blas_threads, argv) == ref
 
 
+# the cases measured to give the same bytes at one and at two BLAS threads
+# (OpenBLAS, 2-core machine); the harmonic half-chain series, the two-step
+# profile and the phase scores move in their last digits
+CROSS_THREAD_CASES = [
+    "evolve-half-two-step", "evolve-profile-harmonic", "spectrum-roots", "spectrum-mb", "spectrum-free-lowk",
+]
+
+
+@pytest.mark.parametrize("case", CROSS_THREAD_CASES)
+def test_csv_bytes_hold_across_blas_thread_counts(case, tmp_path):
+    argv = DETERMINISM_CASES[case]
+    assert _cli_subprocess(tmp_path, "a.csv", 1, argv) == _cli_subprocess(tmp_path, "b.csv", 2, argv)
+
+
 def test_cli_import_loads_no_scipy_subpackage_but_linalg():
     # a CLI call pays for the import of every scipy subpackage it pulls in;
     # scipy.signal alone (with scipy.stats behind it) took about 1 s

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from floqimp import cli, gaussian
-from floqimp.model import ChainParams, DriveFamily, DriveSpec, single_particle_hamiltonian
+from floqimp.model import ChainParams, DriveFamily, DriveSpec, harmonic_block, single_particle_hamiltonian
 from floqimp.gaussian import (
     DegenerateFermiLevel,
     GaussianState,
@@ -115,9 +115,9 @@ def test_harmonic_propagator_single_step_definition():
     params = ChainParams(half_length=6)
     T = 1.3
     u = harmonic_propagator(params, T, n_sub=1).matrix
-    from floqimp.model import hamiltonian_at
-
-    h = hamiltonian_at(params, DriveSpec(DriveFamily.HARMONIC, period=T), T / 2.0)
+    # the drive at the midpoint t = T/2 (phase pi)
+    h = uniform_h(6)
+    h[5:7, 5:7] = harmonic_block(np.pi)
     w, v = np.linalg.eigh(h)
     expected = (v * np.exp(-1j * w * T)) @ v.conj().T
     assert np.max(np.abs(u - expected)) < 1e-13
@@ -187,9 +187,21 @@ def test_unitary_flag_is_checked_at_construction():
     Propagator(matrix=2.0 * np.eye(8, dtype=complex), unitary=False)
 
 
+def test_windowed_unitarity_check_sees_entries_off_the_light_cone():
+    # the check sums U^dagger U over the windows; an entry far outside the
+    # light cone widens its block's window, so the check still sees it
+    u = two_step_propagator(WINDOW_PARAMS, DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5)).matrix.copy()
+    u[0, 199] += 1e-6
+    with pytest.raises(NonUnitaryPropagator):
+        Propagator(matrix=u, unitary=True)
+
+
 def test_non_unitary_propagator_is_a_cli_model_error(capsys, monkeypatch):
     assert NonUnitaryPropagator in cli._MODEL_ERRORS
-    monkeypatch.setattr(gaussian, "_expm_h", lambda h, t: 2.0 * np.eye(h.shape[0], dtype=complex))
+    def doubled(params, drive, *fractions):
+        return [2.0 * np.eye(params.n_sites, dtype=complex)] * len(fractions)
+
+    monkeypatch.setattr(gaussian, "_uniform_exponentials", doubled)
     code = cli.main(["evolve", "--family", "two-step", "--L", "4", "--T", "2.5", "--cycles", "2", "--out", "-"])
     assert code == 3 and "NonUnitaryPropagator" in capsys.readouterr().err
 
@@ -221,9 +233,14 @@ def test_windowed_evolve_matches_dense_product(make):
     assert np.max(np.abs(c - q @ q.conj().T)) < 1e-13
 
 
-@pytest.mark.parametrize("T", [2.3, 4.4])
-def test_two_step_windows_follow_the_light_cone(T):
-    prop = two_step_propagator(ChainParams(half_length=200), DriveSpec(DriveFamily.TWO_STEP, period=T, lam=0.5))
+@pytest.mark.parametrize(
+    "T, lam",
+    [(2.3, 0.5), (4.4, 0.5), (3.0, -0.3), (3.0, 0.0), (3.0, 2.4)],
+    ids=["2.3", "4.4", "3.0-lam-0.3", "3.0-lam0", "3.0-lam2.4"],
+)
+def test_two_step_windows_follow_the_light_cone(T, lam):
+    family = DriveFamily.NON_HERMITIAN_TWO_STEP if lam > 1 else DriveFamily.TWO_STEP
+    prop = two_step_propagator(ChainParams(half_length=200), DriveSpec(family, period=T, lam=lam))
     assert [r for r0, r1, _, _ in prop.windows for r in range(r0, r1)] == list(range(400))
     assert max(hi - lo for _, _, lo, hi in prop.windows) <= 100
     outside = np.abs(prop.matrix)
@@ -397,15 +414,6 @@ def test_build_propagator_rejects_n_sub_for_two_step():
         build_propagator(ChainParams(half_length=4), drive, n_sub=64)
 
 
-def test_pade_exponential_holds_no_subnormals():
-    h = single_particle_hamiltonian(ChainParams(half_length=200), 1.5)
-    u = gaussian._expm_h(h, 1.5)
-    tiny = np.finfo(float).tiny
-    for part in (u.real, u.imag):
-        assert not np.any((part != 0.0) & (np.abs(part) < tiny))
-    assert np.max(np.abs(u - scipy.linalg.expm(-1.5j * h))) <= 1e-28
-
-
 @pytest.mark.parametrize("lam", [0.5, 1.5])
 def test_symmetrized_two_step_is_similar_to_the_period(lam):
     params = ChainParams(half_length=6)
@@ -418,3 +426,21 @@ def test_symmetrized_two_step_is_similar_to_the_period(lam):
     # the antiunitary symmetry: conj(K) = K^-1 in the site basis, P conj(K) P = K^-1 with the mirror P
     k_bar = k.conj() if lam <= 1 else k.conj()[::-1, ::-1]
     assert np.max(np.abs(k_bar @ k - np.eye(12))) < 1e-12
+
+
+@pytest.mark.parametrize("L", [6, 200])
+@pytest.mark.parametrize("lam", [-0.3, 0.5, 1.2, 2.4])
+def test_two_step_factors_match_pade_of_the_defect(lam, L):
+    # the mirror rotation against scipy's Pade exponential of h(lam)
+    params = ChainParams(half_length=L)
+    family = DriveFamily.NON_HERMITIAN_TWO_STEP if lam > 1 else DriveFamily.TWO_STEP
+    T = 3.0
+    drive = DriveSpec(family, period=T, lam=lam)
+    uniform = scipy.linalg.expm(-0.5j * T * uniform_h(L))
+    defect = scipy.linalg.expm(-0.5j * T * single_particle_hamiltonian(params, lam))
+    quarter = scipy.linalg.expm(-0.25j * T * uniform_h(L))
+    first, second = gaussian.two_step_factors(params, drive)
+    assert np.max(np.abs(first.matrix - uniform)) <= 1e-12
+    assert np.max(np.abs(second.matrix - defect)) <= 1e-12
+    assert np.max(np.abs(two_step_propagator(params, drive).matrix - defect @ uniform)) <= 1e-12
+    assert np.max(np.abs(symmetrized_two_step(params, drive) - quarter @ defect @ quarter)) <= 1e-12

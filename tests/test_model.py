@@ -6,12 +6,33 @@ from floqimp.model import (
     DriveFamily,
     DriveSpec,
     bond_matrix,
-    hamiltonian_at,
+    harmonic_block,
     impurity_block,
     imbalance_matrix,
     single_particle_hamiltonian,
 )
 from floqimp.floquet_analytics import mirror_operator
+
+
+def hamiltonian_at(params: ChainParams, drive: DriveSpec, t: float) -> np.ndarray:
+    """Instantaneous single-particle Hamiltonian at time t >= 0.
+
+    Two-step families: uniform chain for (t mod T) in [0, T/2), defect at
+    strength lam otherwise.  Harmonic: the mirror-rotated uniform chain,
+    whose central block is ``harmonic_block(2 pi t / T)``; this is smooth
+    in t and equals the uniform chain at t = 0.
+    """
+    if t < 0:
+        raise ValueError(f"time must be non-negative, got {t}")
+    T = drive.period
+    tau = t % T
+    if drive.family in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
+        lam = 1.0 if tau < T / 2.0 else drive.lam
+        return single_particle_hamiltonian(params, lam)
+    L = params.half_length
+    h = single_particle_hamiltonian(params, 1.0)
+    h[L - 1 : L + 1, L - 1 : L + 1] = harmonic_block(2.0 * np.pi * tau / T)
+    return h
 
 
 def test_impurity_block_uniform_limit():
@@ -105,6 +126,21 @@ def test_harmonic_drive_matches_mirror_rotation():
         rot = np.cos(th) * eye + 1j * np.sin(th) * sig
         expected = rot @ h0 @ rot.conj().T
         assert np.max(np.abs(hamiltonian_at(params, drive, float(t)) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("L", [3, 200])
+@pytest.mark.parametrize("lam", [-1.0, -0.3, 0.0, 0.5, 1.0, 1.1, 2.4])
+def test_defect_is_the_mirror_rotated_uniform_chain(lam, L):
+    # h(lam) = exp(i theta sigma) h(1) exp(-i theta sigma) with cos 2 theta = lam;
+    # theta is imaginary for the no-click drive lam > 1
+    params = ChainParams(half_length=L)
+    th = 0.5 * np.arccos(lam) if lam <= 1 else 0.5j * np.arccosh(lam)
+    sig = mirror_operator(L)
+    eye = np.eye(params.n_sites)
+    rot = np.cos(th) * eye + 1j * np.sin(th) * sig
+    rot_inv = np.cos(th) * eye - 1j * np.sin(th) * sig
+    h = rot @ single_particle_hamiltonian(params, 1.0) @ rot_inv
+    assert np.max(np.abs(h - single_particle_hamiltonian(params, lam))) <= 1e-14
 
 
 def test_two_step_switches_at_half_period():
