@@ -20,7 +20,6 @@ from .floquet_analytics import (
     floquet_hamiltonian_exact,
     quasienergy_gap,
     characteristic_roots,
-    floquet_eigenvector,
     sw_effective_hamiltonian,
     average_energy_sp,
     kato_hamiltonian_sp,

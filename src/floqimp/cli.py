@@ -408,7 +408,6 @@ _MODEL_ERRORS = (
     manybody_ed.KOutOfRange,
     diagnostics.WindowTooShort,
     diagnostics.NoRevivalDetected,
-    diagnostics.CayleyPole,
 )
 
 

@@ -4,8 +4,9 @@ These functions turn stroboscopic entropy series and propagator spectra into
 the phase labels used throughout: heating vs non-heating from the linear
 growth rate of the half-chain entropy, revival periods from prominent
 entropy minima, and PT symmetric vs broken from the modulus of the
-non-Hermitian Floquet eigenvalues, read from the real Cayley transform of
-the symmetrized period.
+non-Hermitian Floquet eigenvalues.  Those are read from mu = u + 1/u, the
+eigenvalues of an L x L block of K + K^-1 (K the symmetrized period), cut
+out by the symmetry C = P Gamma that pairs each u with 1/u.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .model import ChainParams, DriveFamily, DriveSpec
 from .gaussian import (
@@ -33,10 +33,6 @@ DEFAULT_SLOPE_WINDOW = (5, 60)
 DEFAULT_SLOPE_THRESHOLD = 0.02
 DEFAULT_PT_TOL = 1e-6
 DEFAULT_MIN_PROMINENCE = 0.2
-# Cayley phases, tried in order: the first at which the LU of 1 + e^{i phi} K
-# has a LAPACK reciprocal condition estimate above the floor is used
-_CAYLEY_PHASES = (0.7, 2.1, 3.6, 5.0)
-_RCOND_FLOOR = 1e-6
 
 
 class WindowTooShort(Exception):
@@ -45,10 +41,6 @@ class WindowTooShort(Exception):
 
 class NoRevivalDetected(Exception):
     """Raised when fewer than two prominent entropy minima exist."""
-
-
-class CayleyPole(Exception):
-    """Raised when 1 + e^{i phi} K is near singular at every Cayley phase."""
 
 
 class PhaseLabel(Enum):
@@ -247,82 +239,47 @@ def count_recurrences(
     return int(np.sum(ent[minima] <= (1.0 + rel_tol) * early_min))
 
 
-def cayley_eigenvalues(k: np.ndarray) -> tuple[np.ndarray, float]:
-    """Eigenvalues a of the real Cayley transform of e^{i phi} k, and phi.
+def two_step_mu(params: ChainParams, drive: DriveSpec) -> np.ndarray:
+    """mu = u + 1/u once for each pair (u, 1/u) of two-step eigenvalues.
 
-    ``k`` must satisfy conj(k) = k^-1.  Then N = e^{i phi} k does too, so
-    A = i(1 - N)(1 + N)^-1 = -2 Im (1 + N)^-1 is real and one real
-    ``eigvals`` gives its spectrum.  An eigenvalue u of k maps to
-    a = i(1 - e^{i phi} u)/(1 + e^{i phi} u), and back through
-    u = e^{-i phi} (i - a)/(a + i); |u| = 1 exactly when a is real.  phi is
-    the first of ``_CAYLEY_PHASES`` at which 1 + N is well conditioned;
-    CayleyPole when there is none.
-    """
-    n = k.shape[0]
-    for phi in _CAYLEY_PHASES:
-        m = np.exp(1j * phi) * k
-        m[np.diag_indices(n)] += 1.0
-        lu, piv, info = lapack.zgetrf(m)
-        if info == 0 and lapack.zgecon(lu, np.linalg.norm(m, 1))[0] > _RCOND_FLOOR:
-            break
-    else:
-        raise CayleyPole(f"1 + exp(i phi) K is near singular at every phi in {_CAYLEY_PHASES}")
-    inv, _ = lapack.zgetri(lu, piv, lwork=int(lapack.zgetri_lwork(n)[0].real))
-    return np.linalg.eigvals(-2.0 * inv.imag), phi
-
-
-def _mirror_frame(k: np.ndarray) -> np.ndarray:
-    """B^dagger k B in the mirror basis B = [(e_j + e_Pj)/sqrt2, i(e_j - e_Pj)/sqrt2].
-
-    j runs over the left half and P is the mirror j <-> 2L+1-j, so PT acts
-    on these coordinates as plain complex conjugation.  B holds only the
-    identity and the reversal on each half, so the product is index
-    arithmetic on k's four L x L blocks.
-    """
-    L = k.shape[0] // 2
-    top, bottom = k[:L], k[L:][::-1]
-
-    def fold(rows):
-        left, right = rows[:, :L], rows[:, L:][:, ::-1]
-        return left + right, left - right
-
-    pp, pm = fold(top + bottom)
-    mp, mm = fold(top - bottom)
-    return 0.5 * np.block([[pp, 1j * pm], [-1j * mp, mm]])
-
-
-def two_step_cayley(params: ChainParams, drive: DriveSpec) -> tuple[np.ndarray, float]:
-    """``cayley_eigenvalues`` of a two-step period, and phi.
-
-    The symmetrized period K shares U's spectrum; it is taken in the basis
-    where its antiunitary symmetry is complex conjugation: the site basis
-    for |lam| <= 1, the mirror basis for lam > 1.
+    The symmetrized period K shares U's spectrum.  C = P Gamma, the mirror
+    j <-> 2L-1-j times the staggered sign (-1)^j (sites 0-based), maps
+    h(lam) to -h(lam), so C K C^-1 = K^-1 and C pairs u with 1/u.  K^-1
+    needs no inversion: it is conj(K) for |lam| <= 1 and P conj(K) P for
+    lam > 1.  The mu are the eigenvalues of M = K + K^-1 on the C = +i
+    subspace, spanned for j < L by c_j = beta_j (e_j - i s_j e_Pj)/sqrt2
+    with s_j = (-1)^j and beta_j = e^{i pi s_j/4}; the L x L block is index
+    arithmetic on M.  For |lam| <= 1 the block is Hermitian and |mu| <= 2,
+    so it is clipped to [-2, 2] to drop rounding.  For lam > 1, PT acts on
+    the c_j as complex conjugation, so the block is real.
     """
     k = symmetrized_two_step(params, drive)
+    L = params.half_length
+    m = k + (k.conj() if drive.lam <= 1 else k.conj()[::-1, ::-1])
+    s = (-1.0) ** np.arange(L)
+    beta = np.exp(0.25j * np.pi * s)
+    block = (
+        m[:L, :L]
+        - 1j * m[:L, L:][:, ::-1] * s
+        + 1j * s[:, None] * m[L:, :L][::-1]
+        + np.outer(s, s) * m[L:, L:][::-1, ::-1]
+    ) * (0.5 * np.outer(beta.conj(), beta))
     if drive.lam > 1:
-        k = _mirror_frame(k)
-    return cayley_eigenvalues(k)
-
-
-def _modulus_deviation(a: np.ndarray) -> np.ndarray:
-    """||u| - 1| for u = e^{-i phi} (i - a)/(a + i), exactly 0 for real a."""
-    a = np.asarray(a, dtype=complex)
-    x, y = a.real, a.imag
-    d = x * x + (1.0 + y) ** 2
-    modulus = np.sqrt((x * x + (1.0 - y) ** 2) / d)
-    return 4.0 * np.abs(y) / (d * (1.0 + modulus))
+        return np.linalg.eigvals(block.real)
+    return np.clip(np.linalg.eigvalsh(block), -2.0, 2.0)
 
 
 def pt_classify(params: ChainParams, drive: DriveSpec, tol: float = DEFAULT_PT_TOL) -> PhasePoint:
     """PT label from the eigenvalue moduli of the two-step propagator.
 
-    score = max_n ||u_n| - 1|; the spectrum of an unbroken PT-symmetric
-    period sits on the unit circle, so the point is PT symmetric iff the
-    score stays below ``tol``.  The moduli come from ``two_step_cayley``:
-    real Cayley eigenvalues lie exactly on the circle and score 0.
+    score = max_n ||u_n| - 1| = max expm1(|Re z|) over the pairs u = e^{+-z},
+    z = arccosh(mu/2) for each mu of ``two_step_mu``; the spectrum of an
+    unbroken PT-symmetric period sits on the unit circle, so the point is PT
+    symmetric iff the score stays below ``tol``.  A real mu in [-2, 2] has
+    Re z exactly 0, so symmetric points score 0.
     """
-    a, _ = two_step_cayley(params, drive)
-    score = float(np.max(_modulus_deviation(a)))
+    z = np.arccosh(two_step_mu(params, drive).astype(complex) / 2.0)
+    score = float(np.max(np.expm1(np.abs(z.real))))
     label = PhaseLabel.PT_SYMMETRIC if score < tol else PhaseLabel.PT_BROKEN
     return PhasePoint(
         period=drive.period, lam=drive.lam, label=label, score=score, delta=params.delta
@@ -377,8 +334,9 @@ def gap_curve(
 
     Harmonic family: band gap of the closed-form stroboscopic generator.
     Two-step family: a folded-spectrum proxy, the largest gap between sorted
-    eigenphases on the quasienergy circle minus the mean level spacing
-    (finite-size stand-in for the folding threshold).
+    eigenphases +-Im arccosh(mu/2) (``two_step_mu``) on the quasienergy
+    circle minus the mean level spacing (finite-size stand-in for the
+    folding threshold).
     """
     out = []
     if family is DriveFamily.HARMONIC:
@@ -387,9 +345,9 @@ def gap_curve(
         return out
     n = params.n_sites
     for T in T_values:
-        a, phi = two_step_cayley(params, _drive_for(lam, float(T)))
-        u = np.exp(-1j * phi) * (1j - a) / (a + 1j)
-        eps = np.sort(-np.angle(u) / T)
+        mu = two_step_mu(params, _drive_for(lam, float(T)))
+        phases = np.arccosh(mu.astype(complex) / 2.0).imag
+        eps = np.sort(np.concatenate([phases, -phases]) / T)
         gaps = np.diff(eps)
         wrap = 2.0 * np.pi / T - (eps[-1] - eps[0])
         largest = float(max(gaps.max(), wrap))

@@ -284,23 +284,6 @@ def _amplitude_arrays(root: QuasiEnergyRoot, L: int, T: float):
     return a, b
 
 
-def floquet_eigenvector(root: QuasiEnergyRoot, params: ChainParams, T: float) -> np.ndarray:
-    """Normalised h_F eigenvector from the closed-form channel amplitudes.
-
-    Sites 1..L carry a_j + i b_j; the mirror half carries b_m + i a_m with
-    m = 2L+1-j, where a and b are the two sinh-ratio channels.
-    """
-    L = params.half_length
-    a, b = _amplitude_arrays(root, L, T)
-    v = np.empty(2 * L, dtype=complex)
-    v[:L] = a + 1j * b
-    v[L:] = (b + 1j * a)[::-1]
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0 or not np.isfinite(nrm):
-        raise NormalizationUnderflow(f"zero-norm eigenvector at E={root.energy}")
-    return v / nrm
-
-
 def sw_effective_hamiltonian(params: ChainParams, T: float) -> np.ndarray:
     """Perturbative lower-band Hamiltonian in the bonding basis, to O(T^2).
 

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.signal import find_peaks
 
 from floqimp import diagnostics
-from floqimp.gaussian import Propagator, two_step_propagator
+from floqimp.gaussian import Propagator, symmetrized_two_step, two_step_propagator
 from floqimp.model import ChainParams, DriveFamily, DriveSpec
 from floqimp.diagnostics import (
-    CayleyPole,
     EETimeSeries,
     NoRevivalDetected,
     PhaseLabel,
     WindowTooShort,
-    cayley_eigenvalues,
     classify_heating,
     count_recurrences,
     gap_curve,
@@ -22,6 +21,7 @@ from floqimp.diagnostics import (
     quasiparticle_velocity,
     revival_period,
     stroboscopic_states,
+    two_step_mu,
 )
 
 PARAMS = ChainParams(half_length=4)
@@ -175,7 +175,7 @@ def test_pt_requires_two_step():
         pt_classify(PARAMS, DriveSpec(DriveFamily.HARMONIC, period=2.0))
 
 
-@pytest.mark.parametrize("L", [10, 30])
+@pytest.mark.parametrize("L", [5, 10, 25, 30])
 @pytest.mark.parametrize("lam", [-1.0, 0.5, 1.0, 1.1, 1.5, 2.0, 2.4])
 def test_pt_score_matches_complex_eigenvalue_moduli(L, lam):
     params = ChainParams(half_length=L)
@@ -191,35 +191,27 @@ def test_pt_score_matches_complex_eigenvalue_moduli(L, lam):
             assert point.score <= 1e-12
 
 
-def _planted(a_values):
-    """K = (i - R)(R + i)^-1 with R real normal, eigenvalues a_values plus the pair 0.3 +- 0.2i.
-
-    conj(K) = K^-1 for every real R; an eigenvalue a of R gives the eigenvalue
-    (i - a)/(a + i) of K, so a = cot(phi/2) plants -exp(-i phi).
-    """
-    rng = np.random.default_rng(7)
-    reals = np.concatenate([a_values, rng.uniform(-3.0, 3.0, 12 - len(a_values))])
-    block = np.diag(np.concatenate([reals, [0.3, 0.3]]))
-    block[12, 13], block[13, 12] = 0.2, -0.2
-    o, _ = np.linalg.qr(rng.standard_normal((14, 14)))
-    r = o @ block @ o.T
-    return np.linalg.solve((r + 1j * np.eye(14)).T, (1j * np.eye(14) - r).T).T
+@pytest.mark.parametrize("lam", [-0.3, 0.5, 1.0, 1.2, 2.4])
+def test_mu_fold_gives_the_eigenvalues_of_the_period(lam):
+    params = ChainParams(half_length=6)
+    for T in (1.3, 2.8, 3.9):
+        drive = diagnostics._drive_for(lam, T)
+        z = np.arccosh(two_step_mu(params, drive).astype(complex) / 2.0)
+        got = np.concatenate([np.exp(z), np.exp(-z)])
+        want = np.linalg.eigvals(symmetrized_two_step(params, drive))
+        dist = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert np.max(dist[rows, cols]) < 1e-9
 
 
-def test_cayley_route_steps_past_a_planted_pole():
-    phases = diagnostics._CAYLEY_PHASES
-    clean = _planted([])
-    poled = _planted([1.0 / np.tan(phases[0] / 2.0)])
-    assert np.min(np.abs(np.linalg.eigvals(poled) + np.exp(-1j * phases[0]))) < 1e-12
-    a_clean, phi_clean = cayley_eigenvalues(clean)
-    a_poled, phi_poled = cayley_eigenvalues(poled)
-    assert (phi_clean, phi_poled) == (phases[0], phases[1])
-    for k, a in ((clean, a_clean), (poled, a_poled)):
-        oracle = np.max(np.abs(np.abs(np.linalg.eigvals(k)) - 1.0))
-        assert oracle > 0.1
-        assert np.max(diagnostics._modulus_deviation(a)) == pytest.approx(oracle, rel=1e-12)
-    with pytest.raises(CayleyPole):
-        cayley_eigenvalues(_planted([1.0 / np.tan(p / 2.0) for p in phases]))
+@pytest.mark.parametrize("L", [6, 200])
+@pytest.mark.parametrize("lam", [-0.3, 0.5, 1.2, 2.4])
+def test_staggered_mirror_inverts_the_period(L, lam):
+    # C = P Gamma: C K C^-1 = K^-1, the symmetry the mu fold rests on
+    c = np.diag((-1.0) ** np.arange(2 * L))[::-1]
+    for T in (1.3, 3.9):
+        k = symmetrized_two_step(ChainParams(half_length=L), diagnostics._drive_for(lam, T))
+        assert np.max(np.abs(c @ k @ c.T - np.linalg.inv(k))) < 1e-12
 
 
 def test_phase_diagram_hermitian_column():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from floqimp.model import ChainParams, single_particle_hamiltonian
+from floqimp import floquet_analytics
 from floqimp.floquet_analytics import (
     average_energy_sp,
     characteristic_roots,
-    floquet_eigenvector,
     floquet_hamiltonian_exact,
     kato_hamiltonian_sp,
     mirror_operator,
@@ -96,6 +96,20 @@ def test_root_kappa_branches():
         # defining relations cosh(kappa) = -(E + shift)
         assert np.cosh(r.kappa_plus) == pytest.approx(-(r.energy + 2 * np.pi / 2.5), abs=1e-10)
         assert np.cosh(r.kappa_minus) == pytest.approx(-r.energy, abs=1e-10)
+
+
+def floquet_eigenvector(root, params, T):
+    """Normalised h_F eigenvector from the closed-form channel amplitudes.
+
+    Sites 1..L carry a_j + i b_j; the mirror half carries b_m + i a_m with
+    m = 2L+1-j, where a and b are the two sinh-ratio channels.
+    """
+    L = params.half_length
+    a, b = floquet_analytics._amplitude_arrays(root, L, T)
+    v = np.empty(2 * L, dtype=complex)
+    v[:L] = a + 1j * b
+    v[L:] = (b + 1j * a)[::-1]
+    return v / np.linalg.norm(v)
 
 
 def test_eigenvectors_from_closed_form():
