@@ -34,7 +34,7 @@ def _eq4():
     out = []
     for T in (0.7, 2.5, 3.3):
         exact = gaussian.harmonic_propagator(params, T).matrix
-        u = gaussian.harmonic_propagator(params, T, n_sub=4096).matrix
+        u = gaussian.midpoint_propagator(params, T, 4096).matrix
         dev = float(np.max(np.abs(u - exact)))
         out.append((f"eq4_deviation_T{T}", dev, 1e-5, dev < 1e-5))
     return out

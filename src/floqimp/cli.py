@@ -25,9 +25,6 @@ from .model import ChainParams, DriveFamily, DriveSpec
 from . import checks, diagnostics, floquet_analytics, gaussian, manybody_ed
 
 ENV_PREFIX = "FLOQIMP_"
-# default of evolve's n-sub: no midpoint product, the harmonic drive runs
-# the closed-form exp(-i h_F T); echoed as n-sub=exact
-EXACT = "exact"
 _BOOL = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _HARMONIC_LAMBDA = "the harmonic drive modulates the defect as cos(2 pi t / T); lambda must be 1"
 
@@ -151,9 +148,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
         raise ConfigError("profile-every is only read in --mode profile")
     params = ChainParams(half_length=v["L"])
     drive = DriveSpec(family=v["family"], period=v["T"], lam=v["lambda"])
-    n_sub = None if v["n-sub"] == EXACT else v["n-sub"]
-    if n_sub is not None and drive.family is not DriveFamily.HARMONIC:
-        raise ConfigError("n-sub selects the harmonic midpoint propagator; two-step drives are exact")
     if v["samples-per-cycle"] == 2:
         if drive.family is DriveFamily.HARMONIC:
             raise ConfigError("samples-per-cycle=2 is only available for two-step drives")
@@ -161,7 +155,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
             raise ConfigError("samples-per-cycle=2 is only available in --mode half")
         steps = gaussian.two_step_factors(params, drive)
     else:
-        steps = (gaussian.build_propagator(params, drive, n_sub=n_sub),)
+        steps = (gaussian.build_propagator(params, drive),)
     rows = []
     for n, t, state in diagnostics.stroboscopic_states(params, drive.period, steps, v["cycles"]):
         if v["mode"] == "half":
@@ -204,7 +198,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     if mode == "roots":
         params = ChainParams(half_length=v["L"])
         roots = floquet_analytics.characteristic_roots(params, v["T"])
-        theta = floquet_analytics.average_energy_sp(params, v["T"], method="analytic").theta
+        theta = floquet_analytics.average_energy_sp(params, v["T"])
         rows = [(n, root.energy, th, "", "roots") for n, (root, th) in enumerate(zip(roots, theta))]
         if v["with-diag"]:
             eigs = np.linalg.eigvalsh(floquet_analytics.floquet_hamiltonian_exact(params, v["T"]))
@@ -249,7 +243,12 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(round((hi - lo) / step))
+    """The points lo, lo + step, ... that do not pass hi.
+
+    The relative tolerance keeps hi itself when the span is a whole number
+    of steps that the division leaves a rounding error short.
+    """
+    n = int(np.floor((hi - lo) / step * (1.0 + 1e-9)))
     return lo + step * np.arange(n + 1)
 
 
@@ -325,7 +324,6 @@ _OPTIONS = {
         "mode": (str, "half", ("half", "profile")),
         "profile-every": (int, 6, None),
         "samples-per-cycle": (int, 1, (1, 2)),
-        "n-sub": (int, EXACT, None),
         "out": (str, "-", None),
     },
     "spectrum": {
@@ -436,8 +434,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("L must be >= 2")
     if "cycles" in v and v["cycles"] < 0:
         raise ConfigError("cycles must be >= 0")
-    if v.get("n-sub", EXACT) != EXACT and v["n-sub"] < 1:
-        raise ConfigError("n-sub must be >= 1")
     if v.get("profile-every", 1) < 1:
         raise ConfigError("profile-every must be >= 1")
     if v.get("K", 1) < 1:

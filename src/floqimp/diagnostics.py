@@ -92,23 +92,20 @@ def stroboscopic_states(
     k = len(steps)
     for n in range(1, cycles + 1):
         for j, prop in enumerate(steps, 1):
-            state = evolve(state, prop, renormalize=not prop.unitary)
+            state = evolve(state, prop)
             if n == cycles and j == k:
                 state = GaussianState(orbitals=state.orbitals)
             t = n * period if j == k else (n - 1) * period + j * period / k
             yield n, t, state
 
 
-def half_chain_series(
-    params: ChainParams, drive: DriveSpec, cycles: int, n_sub: int | None = None
-) -> EETimeSeries:
+def half_chain_series(params: ChainParams, drive: DriveSpec, cycles: int) -> EETimeSeries:
     """Evolve the half-filled uniform ground state and record S_L per cycle.
 
     Non-unitary drives are renormalised every period (no-click evolution);
-    unitary drives propagate the orbitals directly.  ``n_sub`` selects the
-    harmonic midpoint propagator instead of the closed form.
+    unitary drives propagate the orbitals directly.
     """
-    prop = build_propagator(params, drive, n_sub=n_sub)
+    prop = build_propagator(params, drive)
     states = stroboscopic_states(params, drive.period, (prop,), cycles)
     ent = np.array([half_chain_entropy(state) for _, _, state in states])
     return EETimeSeries(

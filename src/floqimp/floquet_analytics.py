@@ -16,7 +16,7 @@ by the identity; this convention is applied uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -310,15 +310,6 @@ def sw_effective_hamiltonian(params: ChainParams, T: float) -> np.ndarray:
 # --- average energy / Kato objects -------------------------------------------
 
 
-@dataclass(frozen=True)
-class AverageEnergySP:
-    """Sorted single-particle average energies theta_n for one drive period."""
-
-    period: float
-    method: str
-    theta: np.ndarray = field(repr=False)
-
-
 def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Index runs of ascending ``values`` whose neighbouring gaps are at most tol."""
     breaks = np.flatnonzero(np.diff(values) > tol) + 1
@@ -359,27 +350,22 @@ def _harmonic_basis(params: ChainParams, T: float) -> tuple[np.ndarray, np.ndarr
     return v, theta
 
 
-def average_energy_sp(params: ChainParams, T: float, method: str = "numeric") -> AverageEnergySP:
+def average_energy_sp(params: ChainParams, T: float) -> np.ndarray:
     """Single-particle average energies of the harmonic drive, sorted ascending.
 
-    numeric:  theta_n = <psi_n| h_uniform |psi_n> over h_F eigenvectors.
-    analytic: theta_n = E_n - (pi/T)(<sigma>_n - 1) with <sigma>_n evaluated
-              in closed form from the sinh-ratio channel amplitudes of each
-              transcendental root (no diagonalisation involved).
+    theta_n = E_n - (pi/T)(<sigma>_n - 1), with <sigma>_n evaluated in
+    closed form from the sinh-ratio channel amplitudes of each transcendental
+    root (no diagonalisation involved).  They are the eigenvalues of
+    ``kato_hamiltonian_sp``, its independent route.
     """
-    if method == "numeric":
-        theta = _harmonic_basis(params, T)[1]
-        return AverageEnergySP(period=T, method=method, theta=np.sort(theta))
-    if method == "analytic":
-        L = params.half_length
-        roots = characteristic_roots(params, T)
-        theta = np.empty(2 * L)
-        for i, root in enumerate(roots):
-            a, b = _amplitude_arrays(root, L, T)
-            sigma_exp = np.sum(b * b - a * a) / np.sum(a * a + b * b)
-            theta[i] = root.energy - (np.pi / T) * (sigma_exp - 1.0)
-        return AverageEnergySP(period=T, method=method, theta=np.sort(theta))
-    raise ValueError(f"unknown method {method!r}")
+    L = params.half_length
+    roots = characteristic_roots(params, T)
+    theta = np.empty(2 * L)
+    for i, root in enumerate(roots):
+        a, b = _amplitude_arrays(root, L, T)
+        sigma_exp = np.sum(b * b - a * a) / np.sum(a * a + b * b)
+        theta[i] = root.energy - (np.pi / T) * (sigma_exp - 1.0)
+    return np.sort(theta)
 
 
 def kato_hamiltonian_sp(params: ChainParams, T: float) -> np.ndarray:

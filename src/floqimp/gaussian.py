@@ -244,19 +244,24 @@ def symmetrized_two_step(params: ChainParams, drive: DriveSpec) -> np.ndarray:
     return quarter @ _mirror_rotation(half, drive.lam) @ quarter
 
 
-def harmonic_propagator(params: ChainParams, T: float, n_sub: int | None = None) -> Propagator:
-    """One-period propagator of the harmonic drive.
+def harmonic_propagator(params: ChainParams, T: float) -> Propagator:
+    """One-period propagator of the harmonic drive, in closed form.
 
-    With ``n_sub`` None (the default) this is the closed form
     exp(-i h_F T), h_F = h_uniform + (pi/T)(sigma - 1) from
-    ``floquet_hamiltonian_exact``: one eigh.  With an ``n_sub`` it is the
-    ordered midpoint product of n_sub exponentials exp(-i H(t_mid) T/n_sub),
-    second-order accurate in T/n_sub, kept as the independent route that
-    the closed form is checked against.
+    ``floquet_hamiltonian_exact``: one eigh.  ``midpoint_propagator`` is
+    the independent route it is checked against.
     """
-    if n_sub is None:
-        w, v = np.linalg.eigh(floquet_hamiltonian_exact(params, T))
-        return Propagator(matrix=(v * np.exp(-1j * w * T)) @ v.conj().T, unitary=True)
+    w, v = np.linalg.eigh(floquet_hamiltonian_exact(params, T))
+    return Propagator(matrix=(v * np.exp(-1j * w * T)) @ v.conj().T, unitary=True)
+
+
+def midpoint_propagator(params: ChainParams, T: float, n_sub: int) -> Propagator:
+    """Harmonic one-period propagator as an ordered midpoint product.
+
+    The product of n_sub exponentials exp(-i H(t_mid) T/n_sub), second-order
+    accurate in T/n_sub: the reference route that the closed form
+    ``harmonic_propagator`` is checked against.
+    """
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
     dt = T / n_sub
@@ -291,25 +296,23 @@ def harmonic_propagator(params: ChainParams, T: float, n_sub: int | None = None)
     return Propagator(matrix=u, unitary=True)
 
 
-def evolve(state: GaussianState, prop: Propagator, renormalize: bool = True) -> GaussianState:
+def evolve(state: GaussianState, prop: Propagator) -> GaussianState:
     """Apply a one-period propagator to the orbitals.
 
-    Only the propagator's ``windows`` are multiplied.  With ``renormalize``
-    the propagated orbitals are QR-orthonormalised (a no-op up to 1e-10 for
-    unitary propagators); non-unitary propagators require it.  The result's
-    orthonormality is not re-checked: a unitary step keeps the input's, QR
-    makes it.  Raises RankDeficient when the propagated columns become
-    linearly dependent beyond 1e-12 (non-Hermitian decay collision).
+    Only the propagator's ``windows`` are multiplied.  A non-unitary
+    propagator's output is QR-orthonormalised (no-click evolution); a
+    unitary one's is returned as it is.  The result's orthonormality is not
+    re-checked: a unitary step keeps the input's, QR makes it.  Raises
+    RankDeficient when the propagated columns become linearly dependent
+    beyond 1e-12 (non-Hermitian decay collision).
     """
     u, orbitals = prop.matrix, state.orbitals
     if u.shape[1] != state.n_sites:
         raise ValueError("propagator and state dimensions do not match")
-    if not prop.unitary and not renormalize:
-        raise ValueError("non-unitary evolution requires renormalize=True")
     phi = np.empty(orbitals.shape, dtype=np.result_type(u, orbitals))
     for r0, r1, lo, hi in prop.windows:
         np.matmul(u[r0:r1, lo:hi], orbitals[lo:hi], out=phi[r0:r1])
-    if not renormalize or phi.shape[1] == 0:
+    if prop.unitary or phi.shape[1] == 0:
         return GaussianState._unchecked(phi)
     q, r = np.linalg.qr(phi)
     d = np.abs(np.diag(r))
@@ -382,17 +385,8 @@ def entanglement_profile(state: GaussianState) -> EntanglementProfile:
     return EntanglementProfile(cuts=cuts, entropies=ent)
 
 
-def build_propagator(
-    params: ChainParams, drive: DriveSpec, n_sub: int | None = None
-) -> Propagator:
-    """One-period propagator for any drive family (dispatch helper).
-
-    ``n_sub`` selects the harmonic midpoint product (see
-    ``harmonic_propagator``); the two-step propagators are exact, so they
-    reject it.
-    """
+def build_propagator(params: ChainParams, drive: DriveSpec) -> Propagator:
+    """One-period propagator for any drive family (dispatch helper)."""
     if drive.family is DriveFamily.HARMONIC:
-        return harmonic_propagator(params, drive.period, n_sub=n_sub)
-    if n_sub is not None:
-        raise ValueError("n_sub applies only to the harmonic drive")
+        return harmonic_propagator(params, drive.period)
     return two_step_propagator(params, drive)

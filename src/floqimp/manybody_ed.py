@@ -20,7 +20,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.linalg import expm
 
 from .floquet_analytics import _align_clusters, _clusters
 from .gaussian import DegenerateFermiLevel
@@ -86,7 +85,6 @@ class SectorOperator:
 
     basis: SectorBasis
     matrix: np.ndarray = field(repr=False)
-    hermitian: bool = True
 
 
 def build_sector_hamiltonian(params: ChainParams, lam: float, filling: int) -> SectorOperator:
@@ -94,18 +92,17 @@ def build_sector_hamiltonian(params: ChainParams, lam: float, filling: int) -> S
 
     Hopping amplitudes and on-site terms come from the single-particle defect
     matrix; the density-density coupling params.delta acts uniformly on all
-    2L-1 bonds, the driven bond included.  Hermitian iff |lam| <= 1.
+    2L-1 bonds, the driven bond included.  Real symmetric: |lam| > 1 raises.
     """
+    if abs(lam) > 1.0:
+        raise ValueError(f"sector matrices need a Hermitian defect, |lam| <= 1; got lam = {lam}")
     n = params.n_sites
     basis = sector_basis(n, filling)
     index = basis.index()
-    h = single_particle_hamiltonian(params, lam)
-    hermitian = abs(lam) <= 1.0
-    dtype = float if hermitian else complex
-    onsite = np.diag(h).real if hermitian else np.diag(h)
-    hop = h.real if hermitian else h
+    hop = single_particle_hamiltonian(params, lam).real
+    onsite = np.diag(hop)
     delta = params.delta
-    H = np.zeros((basis.dim, basis.dim), dtype=dtype)
+    H = np.zeros((basis.dim, basis.dim))
     for a, s in enumerate(basis.states):
         occ = [(s >> j) & 1 for j in range(n)]
         e = sum(onsite[j] for j in range(n) if occ[j])
@@ -117,24 +114,20 @@ def build_sector_hamiltonian(params: ChainParams, lam: float, filling: int) -> S
                 b = index[s ^ (3 << j)]
                 H[b, a] += hop[j + 1, j]
                 H[a, b] += hop[j, j + 1]
-    return SectorOperator(basis=basis, matrix=H, hermitian=hermitian)
+    return SectorOperator(basis=basis, matrix=H)
 
 
 def floquet_unitary_mb(params: ChainParams, drive: DriveSpec, filling: int) -> SectorOperator:
     """Sector Floquet operator exp(-i H_lam T/2) exp(-i H_1 T/2), uniform half first."""
-    if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
-        raise ValueError("floquet_unitary_mb requires a two-step drive family")
+    if drive.family is not DriveFamily.TWO_STEP:
+        raise ValueError("floquet_unitary_mb requires the Hermitian two-step drive family")
     half = drive.period / 2.0
     h_uni = build_sector_hamiltonian(params, 1.0, filling)
-    h_def = build_sector_hamiltonian(params, drive.lam, filling)
     w0, v0 = np.linalg.eigh(h_uni.matrix)  # real symmetric, v0 real
-    if h_def.hermitian:
-        w1, v1 = np.linalg.eigh(h_def.matrix)
-        left = (v1 * np.exp(-1j * w1 * half)) @ (v1.T @ v0)
-    else:
-        left = expm(-1j * half * h_def.matrix) @ v0
+    w1, v1 = np.linalg.eigh(build_sector_hamiltonian(params, drive.lam, filling).matrix)
+    left = (v1 * np.exp(-1j * w1 * half)) @ (v1.T @ v0)
     u = (left * np.exp(-1j * w0 * half)) @ v0.T
-    return SectorOperator(basis=h_uni.basis, matrix=u, hermitian=False)
+    return SectorOperator(basis=h_uni.basis, matrix=u)
 
 
 @dataclass(frozen=True)

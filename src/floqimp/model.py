@@ -54,8 +54,8 @@ class DriveSpec:
 
     For the two-step families the drive alternates between the uniform chain
     (first half period) and the defect at strength ``lam`` (second half).
-    The harmonic family modulates the defect as lambda(t) = cos(2 pi t / T)
-    and ignores ``lam``.
+    The harmonic family modulates the defect as lambda(t) = cos(2 pi t / T),
+    so it sets no strength of its own: ``lam`` must keep its default 1.
     """
 
     family: DriveFamily
@@ -65,6 +65,8 @@ class DriveSpec:
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
+        if self.family is DriveFamily.HARMONIC and self.lam != 1:
+            raise ValueError("the harmonic drive modulates lambda itself; lam must be 1")
         if self.family is DriveFamily.TWO_STEP and abs(self.lam) > 1:
             raise ValueError("two-step drive requires |lambda| <= 1")
         if self.family is DriveFamily.NON_HERMITIAN_TWO_STEP and self.lam <= 1:

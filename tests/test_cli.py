@@ -70,7 +70,7 @@ def test_evolve_profile_mode_row_count(tmp_path, capsys):
 def test_evolve_byte_identical_reruns(tmp_path, capsys):
     args = [
         "evolve", "--family", "harmonic", "--L", "6", "--T", "2.5",
-        "--cycles", "3", "--n-sub", "64",
+        "--cycles", "3",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(capsys, *args, "--out", str(a))[0] == 0
@@ -173,6 +173,34 @@ def test_gap_command(tmp_path, capsys):
     assert len(rows) == 3
 
 
+GRID_PAST_MAX = [
+    ["gap", "--family", "harmonic", "--L", "10", "--T-min", "2", "--T-max", "4", "--T-step", "0.3"],
+    [
+        "phase", "--L", "4", "--T-min", "2", "--T-max", "4", "--T-step", "0.3",
+        "--lambda-min", "1.1", "--lambda-max", "1.3", "--lambda-step", "0.3",
+    ],
+]
+
+
+@pytest.mark.parametrize("argv", GRID_PAST_MAX, ids=["gap", "phase"])
+def test_grid_stops_at_its_maximum(argv, tmp_path, capsys):
+    # 2 + 7 * 0.3 = 4.1 and 1.1 + 0.3 = 1.4 lie past their maxima
+    out = tmp_path / "grid.csv"
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    rows = [r.split(",") for r in read_csv(out)[3]]
+    assert sorted({float(r[0]) for r in rows}) == pytest.approx([2.0 + 0.3 * i for i in range(7)])
+    if argv[0] == "phase":
+        assert {r[1] for r in rows} == {"1.1"}
+
+
+@pytest.mark.parametrize("lo, hi, step", [(2.0, 2.3, 0.1), (1.0, 2.4, 0.05), (1.0, 1.2, 0.1), (2.0, 4.0, 0.05)])
+def test_grid_keeps_a_maximum_a_whole_number_of_steps_away(lo, hi, step):
+    # the division leaves 2.3 - 2.0 at 2.9999999999999982 steps
+    grid = cli._grid(lo, hi, step)
+    assert len(grid) == round((hi - lo) / step) + 1
+    assert grid[-1] == pytest.approx(hi)
+
+
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "su2")
     assert code == 0
@@ -245,23 +273,10 @@ def test_evolve_harmonic_default_route_byte_identical_reruns(tmp_path, capsys):
     assert run(capsys, *args, "--out", str(a))[0] == 0
     assert run(capsys, *args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
-    assert "n-sub=exact" in read_csv(a)[1][0]
-    c = tmp_path / "c.csv"
-    assert run(capsys, *args, "--n-sub", "64", "--out", str(c))[0] == 0
-    assert "n-sub=64" in read_csv(c)[1][0]
+    assert "n-sub" not in read_csv(a)[1][0]
 
 
 TWO_STEP_EVOLVE = ["evolve", "--family", "two-step", "--L", "6", "--T", "2.5", "--lambda", "0.5", "--cycles", "2"]
-
-
-def test_evolve_n_sub_rejected_for_two_step(tmp_path, capsys, monkeypatch):
-    code, _, err = run(capsys, *TWO_STEP_EVOLVE, "--n-sub", "64")
-    assert code == 2 and "ConfigError" in err and "n-sub" in err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n-sub = 64\n")
-    assert run(capsys, *TWO_STEP_EVOLVE, "--config", str(cfg))[0] == 2
-    monkeypatch.setenv("FLOQIMP_N_SUB", "64")
-    assert run(capsys, *TWO_STEP_EVOLVE)[0] == 2
 
 
 def test_evolve_delta_rejected(capsys):
@@ -288,6 +303,18 @@ def test_evolve_harmonic_rejects_lambda(tmp_path, capsys, monkeypatch):
     out = tmp_path / "h.csv"
     assert run(capsys, *HARMONIC_EVOLVE, "--lambda", "1.0", "--out", str(out))[0] == 0
     assert "lambda=1.0" in read_csv(out)[1][0]
+
+
+def test_evolve_rejects_n_sub(tmp_path, capsys):
+    # the harmonic midpoint product is the reference of verify --suite eq4, not a run option
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n-sub = 64\n")
+    for argv in (HARMONIC_EVOLVE, TWO_STEP_EVOLVE):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n-sub", "64"])
+        assert exc.value.code == 2
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2 and "unknown config keys" in err and "n-sub" in err and out == ""
 
 
 def test_evolve_profile_every_only_in_profile_mode(tmp_path, capsys, monkeypatch):
@@ -591,20 +618,15 @@ def test_csv_bytes_hold_across_blas_thread_counts(case, tmp_path):
     assert _cli_subprocess(tmp_path, "a.csv", 1, argv) == _cli_subprocess(tmp_path, "b.csv", 2, argv)
 
 
-def test_cli_import_loads_no_scipy_subpackage_but_linalg():
+def test_cli_import_loads_no_scipy():
     # a CLI call pays for the import of every scipy subpackage it pulls in;
-    # scipy.signal alone (with scipy.stats behind it) took about 1 s
-    code = (
-        "import sys, floqimp.cli\n"
-        "print(' '.join(sorted(name for name, mod in sys.modules.items()\n"
-        "    if name.count('.') == 1 and name.startswith('scipy.')\n"
-        "    and not name.split('.')[1].startswith('_') and hasattr(mod, '__path__'))))"
-    )
+    # scipy.linalg took about 0.35 s and scipy.signal (with scipy.stats behind it) about 1 s
+    code = "import sys, floqimp.cli\nprint(' '.join(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy')))"
     done = subprocess.run(
         [sys.executable, "-c", code], env=_subprocess_env(1), check=True, timeout=120,
         capture_output=True, text=True,
     )
-    assert done.stdout.split() == ["scipy.linalg"]
+    assert done.stdout.split() == []
 
 
 LOWK_8 = ["spectrum", "--mode", "free-lowk", "--sites", "8", "--T", "2.0"]

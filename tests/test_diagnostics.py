@@ -244,8 +244,8 @@ def test_gap_curve_two_step_folding_proxy():
 
 def test_harmonic_drive_heating_dichotomy_small_size():
     params = ChainParams(half_length=50)
-    calm = half_chain_series(params, DriveSpec(DriveFamily.HARMONIC, period=2.5), 65, n_sub=256)
-    hot = half_chain_series(params, DriveSpec(DriveFamily.HARMONIC, period=4.2), 65, n_sub=256)
+    calm = half_chain_series(params, DriveSpec(DriveFamily.HARMONIC, period=2.5), 65)
+    hot = half_chain_series(params, DriveSpec(DriveFamily.HARMONIC, period=4.2), 65)
     assert classify_heating(calm).label is PhaseLabel.NON_HEATING
     assert classify_heating(hot).label is PhaseLabel.HEATING
 

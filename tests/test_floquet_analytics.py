@@ -12,7 +12,7 @@ from floqimp.floquet_analytics import (
     quasienergy_gap,
     su2_check,
 )
-from floqimp.gaussian import harmonic_propagator
+from floqimp.gaussian import harmonic_propagator, midpoint_propagator
 
 
 def test_mirror_smallest_case():
@@ -48,7 +48,7 @@ def test_floquet_hamiltonian_infinite_period_limit():
 def test_closed_form_matches_midpoint_propagator():
     params = ChainParams(half_length=10)
     for T in (0.7, 2.5, 3.3):
-        u = harmonic_propagator(params, T, n_sub=1024).matrix
+        u = midpoint_propagator(params, T, 1024).matrix
         dev = np.max(np.abs(u - harmonic_propagator(params, T).matrix))
         assert dev < 1e-5
 
@@ -144,8 +144,8 @@ def test_sw_leading_order_is_uniform_half_chain():
 
 def test_average_energy_two_routes_agree():
     params = ChainParams(half_length=25)
-    num = average_energy_sp(params, 2.5, method="numeric").theta
-    ana = average_energy_sp(params, 2.5, method="analytic").theta
+    num = np.linalg.eigvalsh(kato_hamiltonian_sp(params, 2.5))
+    ana = average_energy_sp(params, 2.5)
     assert np.max(np.abs(num - ana)) < 1e-8
 
 
@@ -153,7 +153,7 @@ def test_average_energy_high_frequency_limit():
     # theta converges to the spectrum of the period-averaged generator, which
     # for the harmonic drive is the chain with the central bond averaged away
     params = ChainParams(half_length=20)
-    theta = average_energy_sp(params, 1e-3, method="numeric").theta
+    theta = np.linalg.eigvalsh(kato_hamiltonian_sp(params, 1e-3))
     h_avg = single_particle_hamiltonian(params, 1.0)
     h_avg[19, 20] = h_avg[20, 19] = 0.0
     assert np.max(np.abs(theta - np.sort(np.linalg.eigvalsh(h_avg)))) < 1e-3
@@ -161,7 +161,7 @@ def test_average_energy_high_frequency_limit():
 
 @pytest.mark.parametrize("T", [0.8, 2.5, 3.3])
 def test_average_energy_bounded_by_band(T):
-    theta = average_energy_sp(ChainParams(half_length=25), T, method="numeric").theta
+    theta = np.linalg.eigvalsh(kato_hamiltonian_sp(ChainParams(half_length=25), T))
     assert np.all(theta >= -1.0 - 1e-9) and np.all(theta <= 1.0 + 1e-9)
 
 

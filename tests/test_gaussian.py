@@ -17,6 +17,7 @@ from floqimp.gaussian import (
     half_chain_entropy,
     half_filled_ground_state,
     harmonic_propagator,
+    midpoint_propagator,
     symmetrized_two_step,
     two_step_propagator,
 )
@@ -114,7 +115,7 @@ def test_two_step_propagator_unitary_at_figure_scale():
 def test_harmonic_propagator_single_step_definition():
     params = ChainParams(half_length=6)
     T = 1.3
-    u = harmonic_propagator(params, T, n_sub=1).matrix
+    u = midpoint_propagator(params, T, 1).matrix
     # the drive at the midpoint t = T/2 (phase pi)
     h = uniform_h(6)
     h[5:7, 5:7] = harmonic_block(np.pi)
@@ -130,7 +131,7 @@ def test_harmonic_propagator_second_order_convergence():
     w, v = np.linalg.eigh(hf)
     exact = (v * np.exp(-1j * w * T)) @ v.conj().T
     errs = [
-        np.max(np.abs(harmonic_propagator(params, T, n_sub=n).matrix - exact))
+        np.max(np.abs(midpoint_propagator(params, T, n).matrix - exact))
         for n in (64, 128, 256)
     ]
     for e1, e2 in zip(errs, errs[1:]):
@@ -148,14 +149,14 @@ def test_harmonic_stroboscopic_entropy_converges_second_order():
     state0 = half_filled_ground_state(params)
     ref = state0
     for _ in range(5):
-        ref = evolve(ref, exact, renormalize=False)
+        ref = evolve(ref, exact)
     ref_prof = entanglement_profile(ref).entropies
     errs = []
     for n_sub in (16, 32, 64):
         st = state0
-        prop = harmonic_propagator(params, T, n_sub=n_sub)
+        prop = midpoint_propagator(params, T, n_sub)
         for _ in range(5):
-            st = evolve(st, prop, renormalize=False)
+            st = evolve(st, prop)
         errs.append(np.max(np.abs(entanglement_profile(st).entropies - ref_prof)))
     for e1, e2 in zip(errs, errs[1:]):
         assert 3.0 < e1 / e2 < 5.0
@@ -164,7 +165,7 @@ def test_harmonic_stroboscopic_entropy_converges_second_order():
 def test_evolve_identity_keeps_state():
     state = half_filled_ground_state(ChainParams(half_length=6))
     prop = Propagator(matrix=np.eye(12, dtype=complex), unitary=True)
-    out = evolve(state, prop, renormalize=False)
+    out = evolve(state, prop)
     assert np.array_equal(out.orbitals, state.orbitals)
 
 
@@ -226,10 +227,10 @@ def test_windowed_evolve_matches_dense_product(make):
     state = half_filled_ground_state(WINDOW_PARAMS)
     dense = prop.matrix @ state.orbitals
     if prop.unitary:
-        assert np.max(np.abs(evolve(state, prop, renormalize=False).orbitals - dense)) < 1e-13
+        assert np.max(np.abs(evolve(state, prop).orbitals - dense)) < 1e-13
         return
     q, _ = np.linalg.qr(dense)
-    c = evolve(state, prop, renormalize=True).correlation_matrix()
+    c = evolve(state, prop).correlation_matrix()
     assert np.max(np.abs(c - q @ q.conj().T)) < 1e-13
 
 
@@ -259,28 +260,9 @@ def test_non_finite_propagator_keeps_full_windows(bad):
 def test_evolve_unitary_preserves_orthonormality_without_qr():
     params = ChainParams(half_length=30)
     prop = two_step_propagator(params, DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5))
-    state = evolve(half_filled_ground_state(params), prop, renormalize=False)
+    state = evolve(half_filled_ground_state(params), prop)
     g = state.orbitals.conj().T @ state.orbitals
     assert np.max(np.abs(g - np.eye(30))) < 1e-10
-
-
-def test_evolve_renormalized_matches_plain_for_unitary():
-    params = ChainParams(half_length=20)
-    prop = two_step_propagator(params, DriveSpec(DriveFamily.TWO_STEP, period=2.0, lam=0.3))
-    state = half_filled_ground_state(params)
-    a = evolve(state, prop, renormalize=False)
-    b = evolve(state, prop, renormalize=True)
-    # same subspace: correlation matrices agree
-    assert np.max(np.abs(a.correlation_matrix() - b.correlation_matrix())) < 1e-10
-
-
-def test_evolve_requires_renormalization_for_nonunitary():
-    params = ChainParams(half_length=10)
-    drive = DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.5, lam=1.2)
-    prop = two_step_propagator(params, drive)
-    assert not prop.unitary
-    with pytest.raises(ValueError):
-        evolve(half_filled_ground_state(params), prop, renormalize=False)
 
 
 def test_evolve_rank_deficient_raises():
@@ -288,7 +270,7 @@ def test_evolve_rank_deficient_raises():
     prop = Propagator(matrix=decay, unitary=False)
     state = ground_state(uniform_h(4), 4)
     with pytest.raises(RankDeficient):
-        evolve(state, prop, renormalize=True)
+        evolve(state, prop)
 
 
 def test_nonhermitian_no_click_entropy_stays_bounded():
@@ -298,7 +280,7 @@ def test_nonhermitian_no_click_entropy_stays_bounded():
     state = half_filled_ground_state(params)
     s0 = half_chain_entropy(state)
     for _ in range(100):
-        state = evolve(state, prop, renormalize=True)
+        state = evolve(state, prop)
         g = state.orbitals.conj().T @ state.orbitals
         assert np.max(np.abs(g - np.eye(50))) < 1e-10
     assert half_chain_entropy(state) < s0 + 2.5
@@ -360,7 +342,7 @@ def test_long_unitary_run_conserves_number_and_purity():
     prop = two_step_propagator(params, DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5))
     state = half_filled_ground_state(params)
     for _ in range(1000):
-        state = evolve(state, prop, renormalize=False)
+        state = evolve(state, prop)
     c = state.correlation_matrix()
     assert np.trace(c).real == pytest.approx(50.0, abs=1e-9)
     assert np.max(np.abs(c @ c - c)) < 1e-8
@@ -369,7 +351,7 @@ def test_long_unitary_run_conserves_number_and_purity():
 def _harmonic_evolved(state, L, T, cycles):
     prop = harmonic_propagator(ChainParams(half_length=L), T)
     for _ in range(cycles):
-        state = evolve(state, prop, renormalize=False)
+        state = evolve(state, prop)
     return state
 
 
@@ -404,14 +386,6 @@ def test_default_harmonic_propagator_is_exp_of_exact_generator():
         exact = expm(-1j * T * floquet_hamiltonian_exact(params, T))
         assert prop.unitary
         assert np.max(np.abs(prop.matrix - exact)) < 1e-12
-
-
-def test_build_propagator_rejects_n_sub_for_two_step():
-    from floqimp.gaussian import build_propagator
-
-    drive = DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5)
-    with pytest.raises(ValueError, match="n_sub"):
-        build_propagator(ChainParams(half_length=4), drive, n_sub=64)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.5])

@@ -53,7 +53,7 @@ def test_free_sector_spectrum_is_subset_sums():
     sp = np.linalg.eigvalsh(single_particle_hamiltonian(params, 0.7).real)
     for filling in (2, 4):
         op = build_sector_hamiltonian(params, 0.7, filling)
-        assert op.hermitian
+        assert op.matrix.dtype == np.float64
         mb = np.sort(np.linalg.eigvalsh(op.matrix))
         sums = np.sort([sum(c) for c in combinations(sp, filling)])
         assert np.max(np.abs(mb - sums)) < 1e-12
@@ -78,13 +78,6 @@ def test_interaction_term_on_known_configuration():
     # sites 1,2 occupied: defect on-site +1/2 - 1/2, one occupied bond
     b = idx[0b0110]
     assert op.matrix[b, b] == pytest.approx(0.3, abs=1e-14)
-
-
-def test_nonhermitian_sector_block():
-    params = ChainParams(half_length=2)
-    op = build_sector_hamiltonian(params, 1.2, 1)
-    assert not op.hermitian
-    assert np.max(np.abs(op.matrix - op.matrix.conj().T)) > 0.1
 
 
 def test_floquet_unitary_short_period_is_identity():
@@ -369,6 +362,19 @@ def test_no_click_table_raises_before_building_the_sector(monkeypatch):
     no_click = DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.0, lam=1.5)
     with pytest.raises(NonNormalUnitary):
         average_energy_spectrum_mb(ChainParams(half_length=3), no_click, 3)
+
+
+def test_sector_builders_reject_no_click_lambda_before_the_sector(monkeypatch):
+    def basis(*args):
+        raise AssertionError("a sector was enumerated for lam > 1")
+
+    monkeypatch.setattr(manybody_ed, "sector_basis", basis)
+    params = ChainParams(half_length=3)
+    with pytest.raises(ValueError):
+        build_sector_hamiltonian(params, 1.5, 3)
+    no_click = DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.0, lam=1.5)
+    with pytest.raises(ValueError):
+        floquet_unitary_mb(params, no_click, 3)
 
 
 def test_no_floqimp_module_binds_the_complex_schur():

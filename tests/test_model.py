@@ -181,3 +181,8 @@ def test_drive_spec_validation():
     with pytest.raises(ValueError):
         DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=1.0, lam=0.9)
     DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=1.0, lam=1.2)
+    # the harmonic drive sets its own strength, so any other lam is refused
+    for lam in (0.5, -1.0, 1.5):
+        with pytest.raises(ValueError):
+            DriveSpec(DriveFamily.HARMONIC, period=1.0, lam=lam)
+    DriveSpec(DriveFamily.HARMONIC, period=1.0, lam=1.0)
