@@ -198,7 +198,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     if mode == "roots":
         params = ChainParams(half_length=v["L"])
         roots = floquet_analytics.characteristic_roots(params, v["T"])
-        theta = floquet_analytics.average_energy_sp(params, v["T"])
+        theta = floquet_analytics.root_average_energies(params, v["T"], roots)
         rows = [(n, root.energy, th, "", "roots") for n, (root, th) in enumerate(zip(roots, theta))]
         if v["with-diag"]:
             eigs = np.linalg.eigvalsh(floquet_analytics.floquet_hamiltonian_exact(params, v["T"]))
@@ -266,14 +266,10 @@ def cmd_phase(cfg: RunConfig) -> int:
     T_values = _grid(v["T-min"], v["T-max"], v["T-step"])
     lam_values = _grid(v["lambda-min"], v["lambda-max"], v["lambda-step"])
 
-    def row(lam):
-        return diagnostics.phase_diagram(params, T_values, [lam], tol=v["pt-tol"])
-
-    rows = [
-        (p.period, p.lam, p.label.value, p.score)
-        for points in _ordered_map(row, lam_values, v["threads"])
-        for p in points
-    ]
+    points = diagnostics.phase_diagram(
+        params, T_values, lam_values, tol=v["pt-tol"], map_columns=lambda fn, Ts: _ordered_map(fn, Ts, v["threads"])
+    )
+    rows = [(p.period, p.lam, p.label.value, p.score) for p in points]
     comments = [cfg.echo(), f"# T_pi={np.pi!r}"]
     _write_csv(v["out"], comments, "T,lambda,label,score", rows)
     return 0

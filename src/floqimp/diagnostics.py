@@ -11,7 +11,8 @@ out by the symmetry C = P Gamma that pairs each u with 1/u.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import threading
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,7 +26,9 @@ from .gaussian import (
     evolve,
     half_chain_entropy,
     half_filled_ground_state,
-    symmetrized_two_step,
+    mirror_rotation,
+    uniform_eigh,
+    uniform_exponential,
 )
 from .floquet_analytics import quasienergy_gap
 
@@ -236,31 +239,55 @@ def count_recurrences(
     return int(np.sum(ent[minima] <= (1.0 + rel_tol) * early_min))
 
 
+_UNIFORM = threading.local()
+
+
+def _uniform_factors(params: ChainParams, period: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q = exp(-i h(1) T/4) and E = exp(-i h(1) T/2), read-only.
+
+    One entry per thread, shared by a sweep's points: the eigh of h(1) for
+    the last chain, Q and E for the last period.  A stale one is dropped
+    before the next is built, and a failed build leaves no entry."""
+    memo = _UNIFORM.__dict__
+    key = memo.pop("key", (None, None))
+    if key[0] != params:
+        memo.clear()
+        memo["eig"] = uniform_eigh(params)
+    if key != (params, period):
+        memo.pop("factors", None)
+        memo["factors"] = tuple(uniform_exponential(memo["eig"], f * period) for f in (0.25, 0.5))
+        for a in (*memo["eig"], *memo["factors"]):
+            a.flags.writeable = False
+    memo["key"] = (params, period)
+    return memo["factors"]
+
+
 def two_step_mu(params: ChainParams, drive: DriveSpec) -> np.ndarray:
     """mu = u + 1/u once for each pair (u, 1/u) of two-step eigenvalues.
 
-    The symmetrized period K shares U's spectrum.  C = P Gamma, the mirror
-    j <-> 2L-1-j times the staggered sign (-1)^j (sites 0-based), maps
-    h(lam) to -h(lam), so C K C^-1 = K^-1 and C pairs u with 1/u.  K^-1
-    needs no inversion: it is conj(K) for |lam| <= 1 and P conj(K) P for
-    lam > 1.  The mu are the eigenvalues of M = K + K^-1 on the C = +i
-    subspace, spanned for j < L by c_j = beta_j (e_j - i s_j e_Pj)/sqrt2
-    with s_j = (-1)^j and beta_j = e^{i pi s_j/4}; the L x L block is index
-    arithmetic on M.  For |lam| <= 1 the block is Hermitian and |mu| <= 2,
-    so it is clipped to [-2, 2] to drop rounding.  For lam > 1, PT acts on
-    the c_j as complex conjugation, so the block is real.
+    The symmetrized period K = Q E(lam) Q shares U's spectrum, with
+    Q = exp(-i h(1) T/4) and E(lam) = exp(-i h(lam) T/2).  C = P Gamma, the
+    mirror j <-> 2L-1-j times the staggered sign (-1)^j (sites 0-based),
+    maps h(lam) to -h(lam), so C K C^-1 = K^-1 and C pairs u with 1/u.  The
+    mu are the eigenvalues of M = K + K^-1 on the C = +i subspace, spanned
+    by the columns c_j = beta_j (e_j - i s_j e_Pj)/sqrt2 (j < L) of B, with
+    s_j = (-1)^j and beta_j = e^{i pi s_j/4}.  C^-1 = -C and C B = i B give
+    B^dagger K^-1 B = B^dagger K B, so the block is
+    2 (B^dagger Q) E(lam) (Q B): neither K nor K^-1 is formed, and B^dagger Q
+    and Q B are index arithmetic on Q.  For |lam| <= 1 the block is Hermitian
+    and |mu| <= 2, so it is clipped to [-2, 2] to drop rounding.  For
+    lam > 1, PT acts on the c_j as complex conjugation, so the block is real.
     """
-    k = symmetrized_two_step(params, drive)
+    if drive.family is DriveFamily.HARMONIC:
+        raise ValueError("the mu fold requires a two-step drive family")
+    q, e = _uniform_factors(params, drive.period)
     L = params.half_length
-    m = k + (k.conj() if drive.lam <= 1 else k.conj()[::-1, ::-1])
     s = (-1.0) ** np.arange(L)
     beta = np.exp(0.25j * np.pi * s)
-    block = (
-        m[:L, :L]
-        - 1j * m[:L, L:][:, ::-1] * s
-        + 1j * s[:, None] * m[L:, :L][::-1]
-        + np.outer(s, s) * m[L:, L:][::-1, ::-1]
-    ) * (0.5 * np.outer(beta.conj(), beta))
+    # sqrt2 Q B reads Q's columns j and Pj, sqrt2 B^dagger Q its rows j and Pj;
+    # B^dagger Q is formed once E(lam) is freed, which keeps the peak memory low
+    rqb = mirror_rotation(e, drive.lam) @ ((q[:, :L] - 1j * s * q[:, ::-1][:, :L]) * beta)
+    block = ((q[:L] + 1j * s[:, None] * q[::-1][:L]) * beta.conj()[:, None]) @ rqb
     if drive.lam > 1:
         return np.linalg.eigvals(block.real)
     return np.clip(np.linalg.eigvalsh(block), -2.0, 2.0)
@@ -293,13 +320,17 @@ def phase_diagram(
     T_values: np.ndarray,
     lam_values: np.ndarray,
     tol: float = DEFAULT_PT_TOL,
+    map_columns: Callable = map,
 ) -> list[PhasePoint]:
-    """PT labels on the (T, lambda) grid, row-major over lambda then T."""
-    points = []
-    for lam in lam_values:
-        for T in T_values:
-            points.append(pt_classify(params, _drive_for(float(lam), float(T)), tol=tol))
-    return points
+    """PT labels on the (T, lambda) grid, row-major over lambda then T.
+
+    ``map_columns`` (``map`` or a threaded map) scores one T column at a
+    time, so the lambdas of a period share its uniform factors."""
+
+    def column(T):
+        return [pt_classify(params, _drive_for(float(lam), float(T)), tol=tol) for lam in lam_values]
+
+    return [p for row in zip(*map_columns(column, T_values)) for p in row]
 
 
 def pt_boundary(

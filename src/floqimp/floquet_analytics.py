@@ -350,22 +350,23 @@ def _harmonic_basis(params: ChainParams, T: float) -> tuple[np.ndarray, np.ndarr
     return v, theta
 
 
-def average_energy_sp(params: ChainParams, T: float) -> np.ndarray:
-    """Single-particle average energies of the harmonic drive, sorted ascending.
+def root_average_energies(params: ChainParams, T: float, roots: list[QuasiEnergyRoot]) -> np.ndarray:
+    """Average energy theta_n = E_n - (pi/T)(<sigma>_n - 1) of each root, in order.
 
-    theta_n = E_n - (pi/T)(<sigma>_n - 1), with <sigma>_n evaluated in
-    closed form from the sinh-ratio channel amplitudes of each transcendental
-    root (no diagonalisation involved).  They are the eigenvalues of
-    ``kato_hamiltonian_sp``, its independent route.
+    <sigma>_n is evaluated in closed form from the sinh-ratio channel
+    amplitudes of root n (no diagonalisation involved).
     """
-    L = params.half_length
-    roots = characteristic_roots(params, T)
-    theta = np.empty(2 * L)
+    theta = np.empty(len(roots))
     for i, root in enumerate(roots):
-        a, b = _amplitude_arrays(root, L, T)
+        a, b = _amplitude_arrays(root, params.half_length, T)
         sigma_exp = np.sum(b * b - a * a) / np.sum(a * a + b * b)
         theta[i] = root.energy - (np.pi / T) * (sigma_exp - 1.0)
-    return np.sort(theta)
+    return theta
+
+
+def average_energy_sp(params: ChainParams, T: float) -> np.ndarray:
+    """Sorted ``root_average_energies``: the eigenvalues of ``kato_hamiltonian_sp``."""
+    return np.sort(root_average_energies(params, T, characteristic_roots(params, T)))
 
 
 def kato_hamiltonian_sp(params: ChainParams, T: float) -> np.ndarray:

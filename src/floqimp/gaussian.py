@@ -169,26 +169,27 @@ def half_filled_ground_state(params: ChainParams) -> GaussianState:
     return ground_state(single_particle_hamiltonian(params, 1.0), params.half_length)
 
 
-def _uniform_exponentials(params: ChainParams, drive: DriveSpec, *fractions: float) -> list[np.ndarray]:
-    """exp(-i h(1) f T) for each fraction f of the two-step period T.
+def uniform_eigh(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the real uniform chain h(1)."""
+    return np.linalg.eigh(single_particle_hamiltonian(params, 1.0).real)
 
-    One eigh of the real uniform chain serves them all.  The mirror P
-    (j <-> 2L+1-j) leaves h(1) exactly invariant, so each is made exactly
-    mirror symmetric, as ``_mirror_rotation`` requires.
+
+def uniform_exponential(eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """exp(-i h(1) t) from the (w, v) of ``uniform_eigh``.
+
+    The mirror P (j <-> 2L+1-j) leaves h(1) exactly invariant, so the result
+    is made exactly mirror symmetric, as ``mirror_rotation`` requires.
     """
-    if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
-        raise ValueError("two-step factors require a two-step drive family")
-    w, v = np.linalg.eigh(single_particle_hamiltonian(params, 1.0).real)
-    out = []
-    for f in fractions:
-        e = np.empty(v.shape, dtype=complex)
-        e.real = (v * np.cos(w * f * drive.period)) @ v.T
-        e.imag = (v * -np.sin(w * f * drive.period)) @ v.T
-        out.append(0.5 * (e + e[::-1, ::-1]))
-    return out
+    w, v = eig
+    e = np.empty(v.shape, dtype=complex)
+    e.real = (v * np.cos(w * t)) @ v.T
+    e.imag = (v * -np.sin(w * t)) @ v.T
+    e += e[::-1, ::-1]  # numpy buffers the overlapping operand
+    e *= 0.5
+    return e
 
 
-def _mirror_rotation(e: np.ndarray, lam: float) -> np.ndarray:
+def mirror_rotation(e: np.ndarray, lam: float) -> np.ndarray:
     """exp(-i h(lam) t) from e = exp(-i h(1) t), which must be mirror symmetric.
 
     The defect is the uniform central bond rotated by the mirror operator:
@@ -207,16 +208,23 @@ def _mirror_rotation(e: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
+def _uniform_half(params: ChainParams, drive: DriveSpec) -> np.ndarray:
+    """exp(-i h(1) T/2), the uniform half of a two-step drive."""
+    if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
+        raise ValueError("two-step factors require a two-step drive family")
+    return uniform_exponential(uniform_eigh(params), drive.period / 2)
+
+
 def two_step_factors(params: ChainParams, drive: DriveSpec) -> tuple[Propagator, Propagator]:
     """Half-period factors of the two-step drive, in the order they act.
 
     exp(-i h(1) T/2) (the uniform half, unitary) then exp(-i h(lam) T/2)
     (the defect half, unitary iff |lam| <= 1).
     """
-    (uniform,) = _uniform_exponentials(params, drive, 0.5)
+    uniform = _uniform_half(params, drive)
     return (
         Propagator(matrix=uniform, unitary=True),
-        Propagator(matrix=_mirror_rotation(uniform, drive.lam), unitary=abs(drive.lam) <= 1.0),
+        Propagator(matrix=mirror_rotation(uniform, drive.lam), unitary=abs(drive.lam) <= 1.0),
     )
 
 
@@ -227,21 +235,8 @@ def two_step_propagator(params: ChainParams, drive: DriveSpec) -> Propagator:
     ``two_step_factors``; the right factor acts first.  Unitary iff
     |lam| <= 1.
     """
-    (uniform,) = _uniform_exponentials(params, drive, 0.5)
-    return Propagator(matrix=_mirror_rotation(uniform, drive.lam) @ uniform, unitary=abs(drive.lam) <= 1.0)
-
-
-def symmetrized_two_step(params: ChainParams, drive: DriveSpec) -> np.ndarray:
-    """K = exp(-i h(1) T/4) exp(-i h(lam) T/2) exp(-i h(1) T/4).
-
-    K = Q U Q^-1 with Q = exp(-i h(1) T/4) and U the ``two_step_propagator``,
-    so both share one spectrum.  Splitting the uniform half keeps the
-    drive's antiunitary symmetry on K: conj(K) = K^-1 for |lam| <= 1 (real
-    symmetric h), and P conj(K) P = K^-1 for lam > 1 (PT, with P the mirror
-    j <-> 2L+1-j).
-    """
-    quarter, half = _uniform_exponentials(params, drive, 0.25, 0.5)
-    return quarter @ _mirror_rotation(half, drive.lam) @ quarter
+    uniform = _uniform_half(params, drive)
+    return Propagator(matrix=mirror_rotation(uniform, drive.lam) @ uniform, unitary=abs(drive.lam) <= 1.0)
 
 
 def harmonic_propagator(params: ChainParams, T: float) -> Propagator:

@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from floqimp import checks, cli
+from floqimp import checks, cli, floquet_analytics
 from floqimp.cli import main
 from floqimp.floquet_analytics import RootCountMismatch
+from floqimp.model import ChainParams
 
 
 def run(capsys, *argv):
@@ -104,6 +105,26 @@ def test_spectrum_roots_with_residuals(tmp_path, capsys):
     assert max(float(r.split(",")[5]) for r in rows) < 1e-9
 
 
+@pytest.mark.parametrize("L, T", [(5, 2.5), (20, 3.3)])
+def test_spectrum_roots_pairs_each_root_with_its_own_theta(L, T, tmp_path, capsys, monkeypatch):
+    # row n holds root n and its own theta_n = <psi_n|h_uniform|psi_n>, from one root solve
+    calls = []
+    solve = floquet_analytics.characteristic_roots
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(floquet_analytics, "characteristic_roots", counted)
+    out = tmp_path / "roots.csv"
+    assert run(capsys, "spectrum", "--mode", "roots", "--L", str(L), "--T", str(T), "--out", str(out))[0] == 0
+    assert len(calls) == 1
+    _, _, _, rows = read_csv(out)
+    theta = np.array([float(r.split(",")[2]) for r in rows])
+    own = floquet_analytics._harmonic_basis(ChainParams(half_length=L), T)[1]
+    assert np.max(np.abs(theta - own)) < 1e-9
+
+
 def test_spectrum_mb_rows_and_grey(tmp_path, capsys):
     out = tmp_path / "mb.csv"
     code, _, _ = run(
@@ -158,6 +179,22 @@ def test_phase_threads_deterministic(tmp_path, capsys):
     assert run(capsys, *base, "--threads", "1", "--out", str(a))[0] == 0
     assert run(capsys, *base, "--threads", "4", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_phase_threads_keep_bytes_and_lambda_major_rows(tmp_path, capsys):
+    # workers sweep T columns; the CSV still lists every T of one lambda in turn
+    base = [
+        "phase", "--L", "30", "--T-min", "2.6", "--T-max", "3.0", "--T-step", "0.2",
+        "--lambda-min", "0.5", "--lambda-max", "2.5", "--lambda-step", "1.0",
+    ]
+    a, b = tmp_path / "p1.csv", tmp_path / "p4.csv"
+    assert run(capsys, *base, "--threads", "1", "--out", str(a))[0] == 0
+    assert run(capsys, *base, "--threads", "4", "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    _, _, _, rows = read_csv(a)
+    keys = [(float(r.split(",")[1]), float(r.split(",")[0])) for r in rows]
+    assert len(keys) == 9 and keys == sorted(keys)
+    assert {r.split(",")[2] for r in rows} == {"pt-symmetric", "pt-broken"}
 
 
 def test_gap_command(tmp_path, capsys):

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.signal import find_peaks
 
 from floqimp import diagnostics
-from floqimp.gaussian import Propagator, symmetrized_two_step, two_step_propagator
+from floqimp.gaussian import Propagator, two_step_propagator
 from floqimp.model import ChainParams, DriveFamily, DriveSpec
 from floqimp.diagnostics import (
     EETimeSeries,
@@ -23,6 +27,7 @@ from floqimp.diagnostics import (
     stroboscopic_states,
     two_step_mu,
 )
+from test_gaussian import symmetrized_two_step
 
 PARAMS = ChainParams(half_length=4)
 DRIVE = DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5)
@@ -212,6 +217,70 @@ def test_staggered_mirror_inverts_the_period(L, lam):
     for T in (1.3, 3.9):
         k = symmetrized_two_step(ChainParams(half_length=L), diagnostics._drive_for(lam, T))
         assert np.max(np.abs(c @ k @ c.T - np.linalg.inv(k))) < 1e-12
+
+
+def full_fold_mu(params, drive):
+    """mu from the L x L block of the full M = K + K^-1 (K^-1 by inversion)."""
+    k = symmetrized_two_step(params, drive)
+    L = params.half_length
+    m = k + np.linalg.inv(k)
+    s = (-1.0) ** np.arange(L)
+    beta = np.exp(0.25j * np.pi * s)
+    block = (
+        m[:L, :L]
+        - 1j * m[:L, L:][:, ::-1] * s
+        + 1j * s[:, None] * m[L:, :L][::-1]
+        + np.outer(s, s) * m[L:, L:][::-1, ::-1]
+    ) * (0.5 * np.outer(beta.conj(), beta))
+    if drive.lam > 1:
+        return np.linalg.eigvals(block.real)
+    return np.clip(np.linalg.eigvalsh(block), -2.0, 2.0)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.5, 1.2, 2.4])
+def test_mu_block_matches_the_full_fold(lam):
+    # 2 B^dagger K B against the block of K + K^-1 formed in full, at 2L = 400
+    params = ChainParams(half_length=200)
+    for T in (2.7, 3.9):
+        drive = diagnostics._drive_for(lam, T)
+        got, want = two_step_mu(params, drive), full_fold_mu(params, drive)
+        dist = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert np.max(dist[rows, cols]) < 1e-10
+
+
+def _fresh_scores(L, T, lams):
+    # the scores of a process whose memo starts empty
+    src = os.path.dirname(os.path.dirname(diagnostics.__file__))
+    code = (
+        "import sys; from floqimp import diagnostics as d; from floqimp.model import ChainParams; "
+        "L, T, lams = int(sys.argv[1]), float(sys.argv[2]), map(float, sys.argv[3:]); "
+        "print(*[repr(d.pt_classify(ChainParams(half_length=L), d._drive_for(x, T)).score) for x in lams])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(L), repr(T), *map(repr, lams)],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    ).stdout
+    return [float(x) for x in out.split()]
+
+
+def test_uniform_memo_never_serves_a_stale_period_or_chain():
+    lams = [0.5, 1.2, 2.4]
+    steps = [(10, 2.7), (10, 3.9), (10, 2.7), (12, 2.7), (12, 3.9), (10, 3.9), (10, 2.7)]
+    fresh = {key: _fresh_scores(*key, lams) for key in set(steps)}
+    assert any(score > 1e-6 for scores in fresh.values() for score in scores)
+    for L, T in steps:
+        params = ChainParams(half_length=L)
+        scores = [pt_classify(params, diagnostics._drive_for(lam, T)).score for lam in lams]
+        assert scores == fresh[L, T]
+
+
+def test_memoized_uniform_arrays_are_read_only():
+    q, e = diagnostics._uniform_factors(ChainParams(half_length=6), 2.7)
+    for a in (q, e, *diagnostics._UNIFORM.eig):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_phase_diagram_hermitian_column():

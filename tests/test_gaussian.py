@@ -18,7 +18,6 @@ from floqimp.gaussian import (
     half_filled_ground_state,
     harmonic_propagator,
     midpoint_propagator,
-    symmetrized_two_step,
     two_step_propagator,
 )
 from floqimp.floquet_analytics import floquet_hamiltonian_exact
@@ -26,6 +25,20 @@ from floqimp.floquet_analytics import floquet_hamiltonian_exact
 
 def uniform_h(L):
     return single_particle_hamiltonian(ChainParams(half_length=L), 1.0)
+
+
+def symmetrized_two_step(params, drive):
+    """K = exp(-i h(1) T/4) exp(-i h(lam) T/2) exp(-i h(1) T/4), in full.
+
+    K = Q U Q^-1 with Q = exp(-i h(1) T/4) and U the two-step period, so both
+    share one spectrum.  Splitting the uniform half keeps the drive's
+    antiunitary symmetry on K: conj(K) = K^-1 for |lam| <= 1, and
+    P conj(K) P = K^-1 for lam > 1.  ``diagnostics.two_step_mu`` reads an
+    L x L block of it without forming it.
+    """
+    eig = gaussian.uniform_eigh(params)
+    quarter, half = (gaussian.uniform_exponential(eig, f * drive.period) for f in (0.25, 0.5))
+    return quarter @ gaussian.mirror_rotation(half, drive.lam) @ quarter
 
 
 def test_ground_state_four_sites_site_occupation():
@@ -199,10 +212,10 @@ def test_windowed_unitarity_check_sees_entries_off_the_light_cone():
 
 def test_non_unitary_propagator_is_a_cli_model_error(capsys, monkeypatch):
     assert NonUnitaryPropagator in cli._MODEL_ERRORS
-    def doubled(params, drive, *fractions):
-        return [2.0 * np.eye(params.n_sites, dtype=complex)] * len(fractions)
+    def doubled(eig, t):
+        return 2.0 * np.eye(len(eig[0]), dtype=complex)
 
-    monkeypatch.setattr(gaussian, "_uniform_exponentials", doubled)
+    monkeypatch.setattr(gaussian, "uniform_exponential", doubled)
     code = cli.main(["evolve", "--family", "two-step", "--L", "4", "--T", "2.5", "--cycles", "2", "--out", "-"])
     assert code == 3 and "NonUnitaryPropagator" in capsys.readouterr().err
 
