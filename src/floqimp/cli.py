@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -252,7 +253,7 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def _ordered_map(fn, items, threads: int) -> list:
+def _ordered_map(threads: int, fn, items) -> list:
     """[fn(x) for x in items], on ``threads`` workers; results keep item order."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -267,7 +268,7 @@ def cmd_phase(cfg: RunConfig) -> int:
     lam_values = _grid(v["lambda-min"], v["lambda-max"], v["lambda-step"])
 
     points = diagnostics.phase_diagram(
-        params, T_values, lam_values, tol=v["pt-tol"], map_columns=lambda fn, Ts: _ordered_map(fn, Ts, v["threads"])
+        params, T_values, lam_values, tol=v["pt-tol"], map_columns=partial(_ordered_map, v["threads"])
     )
     rows = [(p.period, p.lam, p.label.value, p.score) for p in points]
     comments = [cfg.echo(), f"# T_pi={np.pi!r}"]
@@ -281,12 +282,11 @@ def cmd_gap(cfg: RunConfig) -> int:
         raise ConfigError(_HARMONIC_LAMBDA)
     params = ChainParams(half_length=v["L"])
     T_values = _grid(v["T-min"], v["T-max"], v["T-step"])
-
-    def one(T):
-        return diagnostics.gap_curve(params, [T], family=v["family"], lam=v["lambda"])[0]
-
+    pairs = diagnostics.gap_curve(
+        params, T_values, family=v["family"], lam=v["lambda"], map_columns=partial(_ordered_map, v["threads"])
+    )
     comments = [cfg.echo(), f"# T_pi={np.pi!r}"]
-    _write_csv(v["out"], comments, "T,gap", _ordered_map(one, T_values, v["threads"]))
+    _write_csv(v["out"], comments, "T,gap", pairs)
     return 0
 
 

@@ -11,7 +11,6 @@ out by the symmetry C = P Gamma that pairs each u with 1/u.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -239,32 +238,15 @@ def count_recurrences(
     return int(np.sum(ent[minima] <= (1.0 + rel_tol) * early_min))
 
 
-_UNIFORM = threading.local()
+def period_factors(eig: tuple[np.ndarray, np.ndarray], period: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q = exp(-i h(1) T/4) and E = exp(-i h(1) T/2) from the eigh of h(1)."""
+    return uniform_exponential(eig, 0.25 * period), uniform_exponential(eig, 0.5 * period)
 
 
-def _uniform_factors(params: ChainParams, period: float) -> tuple[np.ndarray, np.ndarray]:
-    """Q = exp(-i h(1) T/4) and E = exp(-i h(1) T/2), read-only.
-
-    One entry per thread, shared by a sweep's points: the eigh of h(1) for
-    the last chain, Q and E for the last period.  A stale one is dropped
-    before the next is built, and a failed build leaves no entry."""
-    memo = _UNIFORM.__dict__
-    key = memo.pop("key", (None, None))
-    if key[0] != params:
-        memo.clear()
-        memo["eig"] = uniform_eigh(params)
-    if key != (params, period):
-        memo.pop("factors", None)
-        memo["factors"] = tuple(uniform_exponential(memo["eig"], f * period) for f in (0.25, 0.5))
-        for a in (*memo["eig"], *memo["factors"]):
-            a.flags.writeable = False
-    memo["key"] = (params, period)
-    return memo["factors"]
-
-
-def two_step_mu(params: ChainParams, drive: DriveSpec) -> np.ndarray:
+def two_step_mu(factors: tuple[np.ndarray, np.ndarray], lam: float) -> np.ndarray:
     """mu = u + 1/u once for each pair (u, 1/u) of two-step eigenvalues.
 
+    ``factors`` are the (Q, E) of ``period_factors`` for the drive's period.
     The symmetrized period K = Q E(lam) Q shares U's spectrum, with
     Q = exp(-i h(1) T/4) and E(lam) = exp(-i h(lam) T/2).  C = P Gamma, the
     mirror j <-> 2L-1-j times the staggered sign (-1)^j (sites 0-based),
@@ -278,31 +260,34 @@ def two_step_mu(params: ChainParams, drive: DriveSpec) -> np.ndarray:
     and |mu| <= 2, so it is clipped to [-2, 2] to drop rounding.  For
     lam > 1, PT acts on the c_j as complex conjugation, so the block is real.
     """
-    if drive.family is DriveFamily.HARMONIC:
-        raise ValueError("the mu fold requires a two-step drive family")
-    q, e = _uniform_factors(params, drive.period)
-    L = params.half_length
+    q, e = factors
+    L = q.shape[0] // 2
     s = (-1.0) ** np.arange(L)
     beta = np.exp(0.25j * np.pi * s)
     # sqrt2 Q B reads Q's columns j and Pj, sqrt2 B^dagger Q its rows j and Pj;
     # B^dagger Q is formed once E(lam) is freed, which keeps the peak memory low
-    rqb = mirror_rotation(e, drive.lam) @ ((q[:, :L] - 1j * s * q[:, ::-1][:, :L]) * beta)
+    rqb = mirror_rotation(e, lam) @ ((q[:, :L] - 1j * s * q[:, ::-1][:, :L]) * beta)
     block = ((q[:L] + 1j * s[:, None] * q[::-1][:L]) * beta.conj()[:, None]) @ rqb
-    if drive.lam > 1:
+    if lam > 1:
         return np.linalg.eigvals(block.real)
     return np.clip(np.linalg.eigvalsh(block), -2.0, 2.0)
 
 
-def pt_classify(params: ChainParams, drive: DriveSpec, tol: float = DEFAULT_PT_TOL) -> PhasePoint:
+def pt_classify(params: ChainParams, drive: DriveSpec, tol: float = DEFAULT_PT_TOL, factors=None) -> PhasePoint:
     """PT label from the eigenvalue moduli of the two-step propagator.
 
     score = max_n ||u_n| - 1| = max expm1(|Re z|) over the pairs u = e^{+-z},
     z = arccosh(mu/2) for each mu of ``two_step_mu``; the spectrum of an
     unbroken PT-symmetric period sits on the unit circle, so the point is PT
     symmetric iff the score stays below ``tol``.  A real mu in [-2, 2] has
-    Re z exactly 0, so symmetric points score 0.
+    Re z exactly 0, so symmetric points score 0.  A sweep passes the
+    ``period_factors`` of the drive's period; without them the point builds its own.
     """
-    z = np.arccosh(two_step_mu(params, drive).astype(complex) / 2.0)
+    if drive.family is DriveFamily.HARMONIC:
+        raise ValueError("the mu fold requires a two-step drive family")
+    if factors is None:
+        factors = period_factors(uniform_eigh(params), drive.period)
+    z = np.arccosh(two_step_mu(factors, drive.lam).astype(complex) / 2.0)
     score = float(np.max(np.expm1(np.abs(z.real))))
     label = PhaseLabel.PT_SYMMETRIC if score < tol else PhaseLabel.PT_BROKEN
     return PhasePoint(
@@ -325,31 +310,41 @@ def phase_diagram(
     """PT labels on the (T, lambda) grid, row-major over lambda then T.
 
     ``map_columns`` (``map`` or a threaded map) scores one T column at a
-    time, so the lambdas of a period share its uniform factors."""
+    time: the columns share one eigh of h(1), the lambdas of a period its Q and E."""
+    eig = uniform_eigh(params)
 
     def column(T):
-        return [pt_classify(params, _drive_for(float(lam), float(T)), tol=tol) for lam in lam_values]
+        factors = period_factors(eig, float(T))
+        return [pt_classify(params, _drive_for(float(lam), float(T)), tol, factors) for lam in lam_values]
 
     return [p for row in zip(*map_columns(column, T_values)) for p in row]
 
 
 def pt_boundary(
-    params: ChainParams,
-    lam: float,
-    T_values: np.ndarray,
-    tol: float = DEFAULT_PT_TOL,
-) -> float | None:
-    """Estimated PT-breaking period: midpoint of the first symmetric-to-broken
-    step of the scan, or None when no transition is bracketed."""
+    params: ChainParams, lam_values: Sequence[float], T_values: np.ndarray, tol: float = DEFAULT_PT_TOL
+) -> list[float | None]:
+    """Estimated PT-breaking period of each lambda: midpoint of the first
+    symmetric-to-broken step of its T scan, or None when none is bracketed.
+
+    T runs outside, so the lambdas of a period share one eigh of h(1) and
+    the period's Q and E; a lambda leaves the scan at its first broken point."""
+    eig = uniform_eigh(params)
+    out = [None] * len(lam_values)
+    active = list(range(len(lam_values)))
     prev_T = None
-    for T in T_values:
-        point = pt_classify(params, _drive_for(lam, float(T)), tol=tol)
-        if point.label is PhaseLabel.PT_BROKEN:
-            if prev_T is None:
-                return None
-            return 0.5 * (prev_T + float(T))
-        prev_T = float(T)
-    return None
+    for T in map(float, T_values):
+        if not active:
+            break
+        factors = period_factors(eig, T)
+        unbroken = []
+        for i in active:
+            point = pt_classify(params, _drive_for(float(lam_values[i]), T), tol, factors)
+            if point.label is PhaseLabel.PT_SYMMETRIC:
+                unbroken.append(i)
+            elif prev_T is not None:
+                out[i] = 0.5 * (prev_T + T)
+        active, prev_T = unbroken, T
+    return out
 
 
 def gap_curve(
@@ -357,27 +352,31 @@ def gap_curve(
     T_values: np.ndarray,
     family: DriveFamily = DriveFamily.HARMONIC,
     lam: float = 0.5,
+    map_columns: Callable = map,
 ) -> list[tuple[float, float]]:
-    """(T, gap) pairs along a period sweep.
+    """(T, gap) pairs along a period sweep; ``map_columns`` maps over the periods.
 
     Harmonic family: band gap of the closed-form stroboscopic generator.
-    Two-step family: a folded-spectrum proxy, the largest gap between sorted
-    eigenphases +-Im arccosh(mu/2) (``two_step_mu``) on the quasienergy
-    circle minus the mean level spacing (finite-size stand-in for the
-    folding threshold).
+    Two-step families: a folded-spectrum proxy, the largest gap between sorted
+    eigenphases +-Im arccosh(mu/2) (``two_step_mu``, one eigh of h(1) per
+    sweep) on the quasienergy circle minus the mean level spacing (finite-size
+    stand-in for the folding threshold).  A lambda outside the family's range
+    raises ValueError from ``DriveSpec``.
     """
-    out = []
     if family is DriveFamily.HARMONIC:
-        for T in T_values:
-            out.append((float(T), quasienergy_gap(params, float(T))))
-        return out
+        return list(map_columns(lambda T: (T, quasienergy_gap(params, T)), [float(T) for T in T_values]))
+    drives = [DriveSpec(family, float(T), lam) for T in T_values]
+    eig = uniform_eigh(params)
     n = params.n_sites
-    for T in T_values:
-        mu = two_step_mu(params, _drive_for(lam, float(T)))
+
+    def point(drive):
+        T = drive.period
+        mu = two_step_mu(period_factors(eig, T), drive.lam)
         phases = np.arccosh(mu.astype(complex) / 2.0).imag
         eps = np.sort(np.concatenate([phases, -phases]) / T)
         gaps = np.diff(eps)
         wrap = 2.0 * np.pi / T - (eps[-1] - eps[0])
         largest = float(max(gaps.max(), wrap))
-        out.append((float(T), largest - 2.0 * np.pi / T / n))
-    return out
+        return T, largest - 2.0 * np.pi / T / n
+
+    return list(map_columns(point, drives))

@@ -298,8 +298,8 @@ def test_criterion_10_pt_boundary():
     t_grid = np.round(np.arange(2.0, 4.0001, 0.05), 10)
     boundary_ok = True
     worst = (0.0, 0.0)
-    for lam in lam_grid:
-        est = diagnostics.pt_boundary(params, float(lam), t_grid)
+    estimates = diagnostics.pt_boundary(params, [float(lam) for lam in lam_grid], t_grid)
+    for lam, est in zip(lam_grid, estimates):
         if est is None or est >= np.pi:
             boundary_ok = False
             worst = (float(lam), -1.0 if est is None else est)

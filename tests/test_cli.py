@@ -170,11 +170,21 @@ def test_phase_grid_and_pi_marker(tmp_path, capsys):
     assert len(rows) == 6
 
 
-def test_phase_threads_deterministic(tmp_path, capsys):
-    base = [
-        "phase", "--L", "10", "--T-min", "2.0", "--T-max", "2.3", "--T-step", "0.1",
-        "--lambda-min", "1.8", "--lambda-max", "2.2", "--lambda-step", "0.2",
-    ]
+@pytest.mark.parametrize(
+    "base",
+    [
+        [
+            "phase", "--L", "10", "--T-min", "2.0", "--T-max", "2.3", "--T-step", "0.1",
+            "--lambda-min", "1.8", "--lambda-max", "2.2", "--lambda-step", "0.2",
+        ],
+        [
+            "gap", "--family", "two-step", "--L", "10", "--lambda", "0.5",
+            "--T-min", "2.0", "--T-max", "4.2", "--T-step", "0.2",
+        ],
+    ],
+    ids=["phase", "gap-two-step"],
+)
+def test_phase_threads_deterministic(base, tmp_path, capsys):
     a, b = tmp_path / "p1.csv", tmp_path / "p2.csv"
     assert run(capsys, *base, "--threads", "1", "--out", str(a))[0] == 0
     assert run(capsys, *base, "--threads", "4", "--out", str(b))[0] == 0
@@ -208,6 +218,16 @@ def test_gap_command(tmp_path, capsys):
     _, _, header, rows = read_csv(out)
     assert header == "T,gap"
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("family, lam", [("two-step", "1.5"), ("nh-two-step", "0.5")])
+def test_gap_rejects_a_lambda_outside_its_family(family, lam, capsys):
+    code, out, err = run(
+        capsys, "gap", "--family", family, "--L", "10", "--lambda", lam,
+        "--T-min", "2", "--T-max", "2.2", "--T-step", "0.1", "--out", "-",
+    )
+    # evolve rejects the same mismatch; gap once ran the other family instead
+    assert code == 2 and "ValueError" in err and "lambda" in err and out == ""
 
 
 GRID_PAST_MAX = [

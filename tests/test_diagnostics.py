@@ -1,6 +1,4 @@
-import os
-import subprocess
-import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +6,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.signal import find_peaks
 
 from floqimp import diagnostics
-from floqimp.gaussian import Propagator, two_step_propagator
+from floqimp.gaussian import Propagator, two_step_propagator, uniform_eigh
 from floqimp.model import ChainParams, DriveFamily, DriveSpec
 from floqimp.diagnostics import (
     EETimeSeries,
@@ -196,12 +194,16 @@ def test_pt_score_matches_complex_eigenvalue_moduli(L, lam):
             assert point.score <= 1e-12
 
 
+def mu_of(params, drive):
+    return two_step_mu(diagnostics.period_factors(uniform_eigh(params), drive.period), drive.lam)
+
+
 @pytest.mark.parametrize("lam", [-0.3, 0.5, 1.0, 1.2, 2.4])
 def test_mu_fold_gives_the_eigenvalues_of_the_period(lam):
     params = ChainParams(half_length=6)
     for T in (1.3, 2.8, 3.9):
         drive = diagnostics._drive_for(lam, T)
-        z = np.arccosh(two_step_mu(params, drive).astype(complex) / 2.0)
+        z = np.arccosh(mu_of(params, drive).astype(complex) / 2.0)
         got = np.concatenate([np.exp(z), np.exp(-z)])
         want = np.linalg.eigvals(symmetrized_two_step(params, drive))
         dist = np.abs(got[:, None] - want[None, :])
@@ -243,44 +245,10 @@ def test_mu_block_matches_the_full_fold(lam):
     params = ChainParams(half_length=200)
     for T in (2.7, 3.9):
         drive = diagnostics._drive_for(lam, T)
-        got, want = two_step_mu(params, drive), full_fold_mu(params, drive)
+        got, want = mu_of(params, drive), full_fold_mu(params, drive)
         dist = np.abs(got[:, None] - want[None, :])
         rows, cols = linear_sum_assignment(dist)
         assert np.max(dist[rows, cols]) < 1e-10
-
-
-def _fresh_scores(L, T, lams):
-    # the scores of a process whose memo starts empty
-    src = os.path.dirname(os.path.dirname(diagnostics.__file__))
-    code = (
-        "import sys; from floqimp import diagnostics as d; from floqimp.model import ChainParams; "
-        "L, T, lams = int(sys.argv[1]), float(sys.argv[2]), map(float, sys.argv[3:]); "
-        "print(*[repr(d.pt_classify(ChainParams(half_length=L), d._drive_for(x, T)).score) for x in lams])"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(L), repr(T), *map(repr, lams)],
-        env=env, check=True, capture_output=True, text=True, timeout=120,
-    ).stdout
-    return [float(x) for x in out.split()]
-
-
-def test_uniform_memo_never_serves_a_stale_period_or_chain():
-    lams = [0.5, 1.2, 2.4]
-    steps = [(10, 2.7), (10, 3.9), (10, 2.7), (12, 2.7), (12, 3.9), (10, 3.9), (10, 2.7)]
-    fresh = {key: _fresh_scores(*key, lams) for key in set(steps)}
-    assert any(score > 1e-6 for scores in fresh.values() for score in scores)
-    for L, T in steps:
-        params = ChainParams(half_length=L)
-        scores = [pt_classify(params, diagnostics._drive_for(lam, T)).score for lam in lams]
-        assert scores == fresh[L, T]
-
-
-def test_memoized_uniform_arrays_are_read_only():
-    q, e = diagnostics._uniform_factors(ChainParams(half_length=6), 2.7)
-    for a in (q, e, *diagnostics._UNIFORM.eig):
-        with pytest.raises(ValueError):
-            a[0] = 0.0
 
 
 def test_phase_diagram_hermitian_column():
@@ -293,8 +261,61 @@ def test_phase_diagram_hermitian_column():
 def test_pt_boundary_bracket_and_refinement():
     params = ChainParams(half_length=100)
     grid = np.arange(2.0, 3.5, 0.05)
-    est = pt_boundary(params, 2.0, grid)
+    (est,) = pt_boundary(params, [2.0], grid)
     assert est is not None and est < np.pi
+
+
+def lam_by_lam_boundary(params, lam, T_values):
+    """The scan one lambda at a time, each point building its own factors."""
+    prev_T = None
+    for T in map(float, T_values):
+        if pt_classify(params, diagnostics._drive_for(lam, T)).label is PhaseLabel.PT_BROKEN:
+            return None if prev_T is None else 0.5 * (prev_T + T)
+        prev_T = T
+    return None
+
+
+def test_t_major_pt_boundary_matches_the_lambda_by_lambda_scan():
+    # 0.5 never breaks, 1.2 and 2.0 break inside the grid, 6.0 at its first point
+    params = ChainParams(half_length=30)
+    grid = np.round(np.arange(2.0, 3.5001, 0.05), 10)
+    lams = [0.5, 1.2, 2.0, 6.0]
+    got = pt_boundary(params, lams, grid)
+    assert got == [lam_by_lam_boundary(params, lam, grid) for lam in lams]
+    assert got[0] is None and got[3] is None and None not in got[1:3]
+    assert pt_classify(params, diagnostics._drive_for(6.0, 2.0)).label is PhaseLabel.PT_BROKEN
+
+
+def threaded_map(fn, items):
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(fn, items))
+
+
+@pytest.mark.parametrize(
+    "sweep, columns",
+    [
+        (lambda p, Ts: phase_diagram(p, Ts, np.array([0.5, 1.5, 2.4]), map_columns=threaded_map), 4),
+        # 6.0 leaves at T = 2.0, 2.4 at T = 2.7: no lambda is left for 2.9
+        (lambda p, Ts: pt_boundary(p, [2.4, 6.0], Ts), 3),
+        (lambda p, Ts: gap_curve(p, Ts, family=DriveFamily.NON_HERMITIAN_TWO_STEP, lam=1.5), 4),
+    ],
+    ids=["phase-threaded", "pt-boundary", "gap"],
+)
+def test_sweeps_build_one_eigh_and_two_exponentials_per_period(sweep, columns, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(diagnostics, name, wrapper)
+
+    counted("uniform_eigh", diagnostics.uniform_eigh)
+    counted("uniform_exponential", diagnostics.uniform_exponential)
+    sweep(ChainParams(half_length=10), np.array([2.0, 2.4, 2.7, 2.9]))
+    assert calls.count("uniform_eigh") == 1
+    assert calls.count("uniform_exponential") == 2 * columns
 
 
 def test_gap_curve_high_frequency_harmonic():

@@ -34,7 +34,8 @@ def symmetrized_two_step(params, drive):
     share one spectrum.  Splitting the uniform half keeps the drive's
     antiunitary symmetry on K: conj(K) = K^-1 for |lam| <= 1, and
     P conj(K) P = K^-1 for lam > 1.  ``diagnostics.two_step_mu`` reads an
-    L x L block of it without forming it.
+    L x L block of it from the same Q and E (``diagnostics.period_factors``,
+    handed down by the caller) without forming it.
     """
     eig = gaussian.uniform_eigh(params)
     quarter, half = (gaussian.uniform_exponential(eig, f * drive.period) for f in (0.25, 0.5))
