@@ -278,12 +278,17 @@ def cmd_phase(cfg: RunConfig) -> int:
 
 def cmd_gap(cfg: RunConfig) -> int:
     v = cfg.values
-    if v["family"] is DriveFamily.HARMONIC and "lambda" in cfg.given and v["lambda"] != 1.0:
+    harmonic = v["family"] is DriveFamily.HARMONIC
+    if harmonic and "lambda" in cfg.given and v["lambda"] != 1.0:
         raise ConfigError(_HARMONIC_LAMBDA)
     params = ChainParams(half_length=v["L"])
     T_values = _grid(v["T-min"], v["T-max"], v["T-step"])
     pairs = diagnostics.gap_curve(
-        params, T_values, family=v["family"], lam=v["lambda"], map_columns=partial(_ordered_map, v["threads"])
+        params,
+        T_values,
+        family=v["family"],
+        lam=1.0 if harmonic else v["lambda"],
+        map_columns=partial(_ordered_map, v["threads"]),
     )
     comments = [cfg.echo(), f"# T_pi={np.pi!r}"]
     _write_csv(v["out"], comments, "T,gap", pairs)

@@ -351,7 +351,7 @@ def gap_curve(
     params: ChainParams,
     T_values: np.ndarray,
     family: DriveFamily = DriveFamily.HARMONIC,
-    lam: float = 0.5,
+    lam: float = 1.0,
     map_columns: Callable = map,
 ) -> list[tuple[float, float]]:
     """(T, gap) pairs along a period sweep; ``map_columns`` maps over the periods.
@@ -361,11 +361,12 @@ def gap_curve(
     eigenphases +-Im arccosh(mu/2) (``two_step_mu``, one eigh of h(1) per
     sweep) on the quasienergy circle minus the mean level spacing (finite-size
     stand-in for the folding threshold).  A lambda outside the family's range
-    raises ValueError from ``DriveSpec``.
+    (for the harmonic family any lambda but its default 1) raises ValueError
+    from ``DriveSpec``.
     """
-    if family is DriveFamily.HARMONIC:
-        return list(map_columns(lambda T: (T, quasienergy_gap(params, T)), [float(T) for T in T_values]))
     drives = [DriveSpec(family, float(T), lam) for T in T_values]
+    if family is DriveFamily.HARMONIC:
+        return list(map_columns(lambda drive: (drive.period, quasienergy_gap(params, drive.period)), drives))
     eig = uniform_eigh(params)
     n = params.n_sites
 

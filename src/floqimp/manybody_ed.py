@@ -7,6 +7,11 @@ sector dimension <= 2e4 (2L = 14 at half filling is the working scale); in
 the free sector the minimal-theta overlap weight also has a determinant route
 that reaches chain sizes of several hundred sites.
 
+The free half-filled sector splits into the even and odd blocks of
+S = particle-hole x mirror, and each block is diagonalized on its own; the
+ground state of the averaged Hamiltonian comes from a block Lanczos, not a
+full eigh.
+
 Hopping is nearest-neighbour only, so matrix elements in the occupation
 basis carry no fermionic string sign.
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 
 import numpy as np
@@ -35,6 +40,9 @@ _TWIST = (np.sqrt(5.0) - 1.0) / 2.0
 _TIE_TOL = 1e-6
 _REFINE_GAP = 1e-8
 _EIGEN_RESIDUAL_TOL = 1e-9
+_FERMI_GAP_TOL = 1e-12
+_LANCZOS_TOL = 1e-12
+_LANCZOS_CHECK = 16  # Krylov vectors added between Ritz residual checks
 
 
 class SectorTooLarge(Exception):
@@ -183,19 +191,20 @@ def _orthogonal_eigh(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.nda
     s = o.T @ k_re
     b = o.T @ k_im
     lam = np.diag(s) + 1j * np.diag(b)
-    d_re = np.subtract.outer(lam.real, lam.real)
-    d_im = np.subtract.outer(lam.imag, lam.imag)
-    s *= d_re
-    b *= d_im
-    s += b
-    d_re *= d_re
-    d_im *= d_im
-    d_re += d_im
-    del b, d_im
-    resolved = d_re > _REFINE_GAP**2
-    np.divide(s, d_re, out=s, where=resolved)
-    s[~resolved] = 0.0
-    del d_re, resolved
+    for start in range(0, len(lam), 256):  # row blocks keep the differences small
+        rows = slice(start, start + 256)
+        d_re = np.subtract.outer(lam.real[rows], lam.real)
+        d_im = np.subtract.outer(lam.imag[rows], lam.imag)
+        s[rows] *= d_re
+        b[rows] *= d_im
+        s[rows] += b[rows]
+        d_re *= d_re
+        d_im *= d_im
+        d_re += d_im
+        resolved = d_re > _REFINE_GAP**2
+        np.divide(s[rows], d_re, out=s[rows], where=resolved)
+        s[rows][~resolved] = 0.0
+    del b, d_re, d_im, resolved
     o -= o @ s
     k_re -= k_re @ s
     k_im -= k_im @ s
@@ -211,7 +220,78 @@ def _orthogonal_eigh(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.nda
     return o, lam
 
 
-def _hermitian_spectrum(half_step: Callable[[float], np.ndarray], lam: float, tau: float, m: int):
+def _require_fermi_gap(levels: np.ndarray, m: int) -> None:
+    """Raise DegenerateFermiLevel when ascending levels m and m+1 are closer than 1e-12."""
+    if 0 < m < len(levels) and levels[m] - levels[m - 1] < _FERMI_GAP_TOL:
+        raise DegenerateFermiLevel(
+            f"levels {m} and {m + 1} of the averaged Hamiltonian are degenerate "
+            f"(gap {levels[m] - levels[m - 1]:.2e})"
+        )
+
+
+def _lowest_states(h: np.ndarray, m: int) -> np.ndarray:
+    """The m lowest eigenvectors of the real symmetric h, from a full eigh."""
+    e, v = np.linalg.eigh(h)
+    _require_fermi_gap(e, m)
+    return v[:, :m]
+
+
+def _lowest_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (at most) two lowest eigenpairs of the real symmetric h, by block Lanczos.
+
+    The Krylov basis grows from a block of two fixed chirp vectors
+    cos(c r j^2), so a doubly degenerate lowest level shows as two Ritz
+    values.  Each new vector is orthogonalized twice against the whole basis
+    and dropped when nothing of it is left; a block dropped whole means an
+    invariant subspace, and unless its Ritz pairs have converged the next
+    two chirps restart the growth.  Returns the Ritz pairs once both
+    residuals ||h y - e y|| are at most 1e-12, or once the basis spans the
+    space.
+    """
+    n = len(h)
+    chirps = (np.cos(_TWIST * r * np.arange(1.0, n + 1) ** 2) for r in count(1))
+    basis = np.empty((min(n, 64), n))  # rows are the orthonormal Krylov vectors
+    image = np.empty_like(basis)  # rows of basis @ h = (h @ basis.T).T
+    proj = np.empty((len(basis), len(basis)))  # basis h basis^T
+    k = 0
+    check = _LANCZOS_CHECK
+    block = [next(chirps), next(chirps)]
+    while True:
+        start = k
+        for x in block:
+            norm = np.linalg.norm(x)
+            for _ in range(2):
+                x = x - (basis[:k] @ x) @ basis[:k]
+            left = np.linalg.norm(x)
+            if left <= 1e-8 * norm:
+                continue
+            if k == len(basis):
+                size = min(n, 2 * k)
+                basis = np.concatenate([basis, np.empty((size - k, n))])
+                image = np.concatenate([image, np.empty((size - k, n))])
+                proj = np.pad(proj, (0, size - k))
+            basis[k] = x / left
+            k += 1
+        image[start:k] = basis[start:k] @ h
+        proj[:k, start:k] = basis[:k] @ image[start:k].T
+        proj[start:k, :start] = proj[:start, start:k].T
+        if k == n or k == start or k >= check:
+            check = k + _LANCZOS_CHECK
+            e, y = np.linalg.eigh(proj[:k, :k])
+            e, y = e[:2], y[:, :2]
+            v = basis[:k].T @ y
+            residual = np.linalg.norm(image[:k].T @ y - v * e, axis=0)
+            if k == n or np.max(residual) <= _LANCZOS_TOL:
+                return e, v
+        block = image[start:k] if k > start else [next(chirps), next(chirps)]
+
+
+def _hermitian_spectrum(
+    half_step: Callable[[float], np.ndarray],
+    lam: float,
+    tau: float,
+    ground: Callable[[np.ndarray], np.ndarray] | None,
+):
     """Floquet eigenpairs of exp(-i H(lam) tau) exp(-i H(1) tau) in real arithmetic.
 
     half_step(lam) returns the real symmetric half-step Hamiltonian H(lam)
@@ -223,9 +303,9 @@ def _hermitian_spectrum(half_step: Callable[[float], np.ndarray], lam: float, ta
     the Floquet states are psi = D0^* O; everything below is expressed
     through O in K's frame.  Returns (phases, theta, z): phases ascending,
     the cluster-aligned average energies, and z = psi^dagger Phi_gs (n x m)
-    for the m lowest eigenvectors Phi_gs of h_avg = (H(1) + H(lam))/2.
-    Raises DegenerateFermiLevel when the m-th and (m+1)-th eigenvalues of
-    h_avg are closer than 1e-12, since Phi_gs is then no unique state.
+    for the columns Phi_gs = ground(h_avg) of the averaged Hamiltonian
+    h_avg = (H(1) + H(lam))/2 in H0's eigenbasis; ground None gives m = 0
+    and no solve of h_avg at all.
     """
     w0, v0 = np.linalg.eigh(half_step(1.0))
     w1, v1 = np.linalg.eigh(half_step(lam))
@@ -234,14 +314,7 @@ def _hermitian_spectrum(half_step: Callable[[float], np.ndarray], lam: float, ta
     h_avg = mix.T @ (w1[:, None] * mix)
     h_avg[np.diag_indices_from(h_avg)] += w0
     h_avg *= 0.5
-    e_avg, v_avg = np.linalg.eigh(h_avg)
-    if 0 < m < len(e_avg) and e_avg[m] - e_avg[m - 1] < 1e-12:
-        raise DegenerateFermiLevel(
-            f"levels {m} and {m + 1} of the averaged Hamiltonian are degenerate "
-            f"(gap {e_avg[m] - e_avg[m - 1]:.2e})"
-        )
-    gs = v_avg[:, :m].copy()
-    del v_avg
+    gs = np.zeros((len(w0), 0)) if ground is None else ground(h_avg)
     cos1 = (mix.T * np.cos(w1 * tau)) @ mix  # M^T exp(-i W1 tau) M = cos1 - i sin1
     sin1 = (mix.T * np.sin(w1 * tau)) @ mix
     del mix
@@ -280,6 +353,44 @@ def _hermitian_spectrum(half_step: Callable[[float], np.ndarray], lam: float, ta
     return phases, theta, z
 
 
+def _mirror_blocks(params: ChainParams, filling: int) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """Maps from a sector matrix to its diagonal blocks under S = particle-hole x mirror.
+
+    S takes the occupation set A to the complement of its mirror image
+    (site j to 2L-1-j).  At half filling and delta = 0 it maps the sector to
+    itself and commutes with every H(lam): the mirror swaps the defect's two
+    on-site terms, and the complement flips their sign back and keeps each
+    hop.  With the string-free occupation basis S is a plain permutation,
+    so a state either is its own partner or pairs with one.  The even block
+    has the fixed states and (|A> + |SA>)/sqrt2, the odd block
+    (|A> - |SA>)/sqrt2, and both are sliced out of the sector matrix by
+    index arithmetic.  Otherwise (delta != 0 breaks S at the chain's ends)
+    the one map returns the whole matrix.
+    """
+    n = params.n_sites
+    if params.delta != 0 or 2 * filling != n:
+        return [lambda h: h]
+    states = sector_basis(n, filling).states
+    index = {s: i for i, s in enumerate(states)}
+    full = (1 << n) - 1
+    partner = np.array([index[full ^ int(f"{s:0{n}b}"[::-1], 2)] for s in states])
+    own = np.arange(len(states))
+    even = np.flatnonzero(partner >= own)
+    odd = np.flatnonzero(partner > own)
+    scale = np.where(partner[even] == even, np.sqrt(0.5), 1.0)
+    scale = np.outer(scale, scale)
+
+    def even_block(h):
+        out = h[np.ix_(even, even)] + h[np.ix_(even, partner[even])]
+        out *= scale
+        return out
+
+    def odd_block(h):
+        return h[np.ix_(odd, odd)] - h[np.ix_(odd, partner[odd])]
+
+    return [even_block, odd_block]
+
+
 def average_energy_spectrum_mb(
     params: ChainParams, drive: DriveSpec, filling: int
 ) -> ManyBodySpectrumTable:
@@ -289,21 +400,40 @@ def average_energy_spectrum_mb(
     Floquet eigenbasis; records are sorted by theta ascending, and each
     carries its overlap weight with the infinite-frequency ground state.
     A Hermitian defect (|lam| <= 1) takes the real orthogonal eigenbasis of
-    the symmetrized operator.  A no-click defect (lam > 1) makes the sector
-    operator non-unitary and raises NonNormalUnitary; a degenerate ground
-    state of the averaged Hamiltonian raises DegenerateFermiLevel.
+    the symmetrized operator; the free half-filled sector takes it block by
+    block (``_mirror_blocks``), and the states of the block without the
+    ground state get weight exactly 0.  A no-click defect (lam > 1) makes
+    the sector operator non-unitary and raises NonNormalUnitary; a
+    degenerate ground state of the averaged Hamiltonian, within a block or
+    across the two, raises DegenerateFermiLevel.
     """
     if drive.family not in (DriveFamily.TWO_STEP, DriveFamily.NON_HERMITIAN_TWO_STEP):
         raise ValueError("average_energy_spectrum_mb requires a two-step drive family")
     if abs(drive.lam) > 1.0:
         raise NonNormalUnitary(f"the sector Floquet operator is not unitary for lam = {drive.lam} > 1")
-    phases, theta, z = _hermitian_spectrum(
-        lambda lam: build_sector_hamiltonian(params, lam, filling).matrix,
-        drive.lam,
-        drive.period / 2.0,
-        1,
+    lowest = []  # the two lowest levels of h_avg in each block
+
+    def ground(h_avg):
+        e, v = _lowest_pair(h_avg)
+        lowest.append(e)
+        return v[:, :1]
+
+    parts = [
+        _hermitian_spectrum(
+            lambda lam, block=block: block(build_sector_hamiltonian(params, lam, filling).matrix),
+            drive.lam,
+            drive.period / 2.0,
+            ground,
+        )
+        for block in _mirror_blocks(params, filling)
+    ]
+    _require_fermi_gap(np.sort(np.concatenate(lowest)), 1)
+    holder = int(np.argmin([e[0] for e in lowest]))
+    phases = np.concatenate([p[0] for p in parts])
+    theta = np.concatenate([p[1] for p in parts])
+    weight = np.concatenate(
+        [np.abs(z[:, 0]) ** 2 if b == holder else np.zeros(len(z)) for b, (_, _, z) in enumerate(parts)]
     )
-    weight = np.abs(z[:, 0]) ** 2
     order = np.argsort(theta, kind="stable")
     theta = theta[order]
     weight = weight[order]
@@ -328,7 +458,7 @@ def two_step_theta_sp(params: ChainParams, drive: DriveSpec) -> np.ndarray:
         raise ValueError("two_step_theta_sp requires the Hermitian two-step drive family")
     # m = 0: no ground state is read, so a degenerate averaged Fermi level is no error here
     theta = _hermitian_spectrum(
-        lambda lam: single_particle_hamiltonian(params, lam).real, drive.lam, drive.period / 2.0, 0
+        lambda lam: single_particle_hamiltonian(params, lam).real, drive.lam, drive.period / 2.0, None
     )[1]
     return np.sort(theta)
 
@@ -357,7 +487,10 @@ def free_ground_state_weight(params: ChainParams, drive: DriveSpec) -> float:
         raise NonNormalUnitary("the single-particle Floquet modes need a unitary drive (|lam| <= 1)")
     L = params.half_length
     _, theta, z = _hermitian_spectrum(
-        lambda lam: single_particle_hamiltonian(params, lam).real, drive.lam, drive.period / 2.0, L
+        lambda lam: single_particle_hamiltonian(params, lam).real,
+        drive.lam,
+        drive.period / 2.0,
+        lambda h_avg: _lowest_states(h_avg, L),
     )
     order = np.argsort(theta, kind="stable")
     gap = theta[order[L]] - theta[order[L - 1]]
@@ -373,9 +506,10 @@ def lowest_k_free_spectrum(theta_sp: np.ndarray, filling: int, k: int) -> np.nda
     Best-first search from the ground filling: the heap holds candidate
     occupations keyed by incrementally updated sums, each expansion moves one
     occupied index up by one slot, and a visited set of bitmasks prevents
-    duplicates.  Ties are broken by bitmask value.  Returned values are
-    recomputed by direct summation over the ascending-sorted input, so the
-    full-sector output matches brute-force enumeration exactly.
+    duplicates.  Ties are broken by bitmask value.  The popped occupations
+    are kept, and the returned values are their direct numpy sums over the
+    ascending-sorted input, taken at the end, so the full-sector output
+    matches brute-force enumeration exactly.
     """
     theta = np.sort(np.asarray(theta_sp, dtype=float))
     n = len(theta)
@@ -386,25 +520,29 @@ def lowest_k_free_spectrum(theta_sp: np.ndarray, filling: int, k: int) -> np.nda
         raise KOutOfRange(f"k must be in [1, {total}], got {k}")
     if filling == 0:
         return np.zeros(1)
+    values = theta.tolist()
     first = tuple(range(filling))
     first_mask = (1 << filling) - 1
     heap = [(float(theta[:filling].sum()), first_mask, first)]
     seen = {first_mask}
-    out = np.empty(k)
-    found = 0
-    while found < k:
+    popped = []  # the popped occupations, concatenated
+    for _ in range(k):
         s, mask, combo = heapq.heappop(heap)
-        out[found] = theta[list(combo)].sum()
-        found += 1
-        for j in range(filling):
-            nxt = combo[j] + 1
+        popped.extend(combo)
+        for j, site in enumerate(combo):
+            nxt = site + 1
             if nxt >= n or (j + 1 < filling and nxt == combo[j + 1]):
                 continue
-            new_mask = mask ^ (3 << combo[j])
+            new_mask = mask ^ (3 << site)
             if new_mask in seen:
                 continue
             seen.add(new_mask)
             new_combo = combo[:j] + (nxt,) + combo[j + 1 :]
-            heapq.heappush(heap, (s - theta[combo[j]] + theta[nxt], new_mask, new_combo))
+            heapq.heappush(heap, (s - values[site] + values[nxt], new_mask, new_combo))
+    # summed in chunks so that no K x filling index array is held at once
+    chunk = 4096 * filling
+    out = np.concatenate(
+        [theta[np.array(popped[i : i + chunk]).reshape(-1, filling)].sum(axis=1) for i in range(0, len(popped), chunk)]
+    )
     out.sort()
     return out

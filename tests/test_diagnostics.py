@@ -323,6 +323,15 @@ def test_gap_curve_high_frequency_harmonic():
     assert pairs[0][1] > 50.0
 
 
+def test_gap_curve_harmonic_rejects_a_lambda():
+    # the harmonic drive sets lambda(t) itself; a given lambda != 1 is refused, not dropped
+    params = ChainParams(half_length=10)
+    Ts = np.array([2.0])
+    with pytest.raises(ValueError, match="lam must be 1"):
+        gap_curve(params, Ts, DriveFamily.HARMONIC, lam=0.3)
+    assert gap_curve(params, Ts, DriveFamily.HARMONIC, lam=1.0) == gap_curve(params, Ts)
+
+
 def test_gap_curve_two_step_folding_proxy():
     params = ChainParams(half_length=50)
     pairs = gap_curve(params, np.array([2.0, 4.2]), family=DriveFamily.TWO_STEP, lam=0.5)

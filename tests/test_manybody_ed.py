@@ -1,3 +1,4 @@
+import heapq
 from itertools import combinations
 from math import comb
 
@@ -411,3 +412,177 @@ def test_average_energy_table_free_theta_where_eigh_mixes_states():
     sums = np.sort([sum(c) for c in combinations(two_step_theta_sp(params, d), 6)])
     assert np.max(np.abs(table.theta - sums)) < 1e-11
     assert abs(table.ground_state_weight - free_ground_state_weight(params, d)) < 1e-11
+
+
+def _one_block_table(params, d, filling):
+    """Today's one-block sector table: the whole sector, ground state of h_avg by full eigh (the oracle)."""
+    phases, theta, z = manybody_ed._hermitian_spectrum(
+        lambda lam: build_sector_hamiltonian(params, lam, filling).matrix,
+        d.lam,
+        d.period / 2.0,
+        lambda h_avg: np.linalg.eigh(h_avg)[1][:, :1],
+    )
+    order = np.argsort(theta, kind="stable")
+    return -phases[order] / d.period, theta[order], np.abs(z[order, 0]) ** 2
+
+
+def _s_matrix(L):
+    """S = particle-hole x mirror on the half-filled sector, by brute force over the bitmasks."""
+    n = 2 * L
+    states = sector_basis(n, L).states
+    index = {s: i for i, s in enumerate(states)}
+    partner = [index[(2**n - 1) ^ int(format(s, f"0{n}b")[::-1], 2)] for s in states]
+    s_mat = np.zeros((len(states), len(states)))
+    s_mat[partner, np.arange(len(states))] = 1.0
+    return s_mat
+
+
+def _lowest_parities(h_avg, s_mat):
+    """The two lowest levels of h_avg and the S eigenvalues of the span of their states."""
+    e, v = np.linalg.eigh(h_avg)
+    return e[:2], np.linalg.eigvalsh(v[:, :2].T @ s_mat @ v[:, :2])
+
+
+def _sector_h_avg(params, lam, L):
+    return 0.5 * (
+        build_sector_hamiltonian(params, 1.0, L).matrix + build_sector_hamiltonian(params, lam, L).matrix
+    )
+
+
+@pytest.mark.parametrize("L", [3, 4, 5, 6])
+def test_particle_hole_mirror_is_a_free_sector_symmetry(L):
+    s_mat = _s_matrix(L)
+    assert np.array_equal(s_mat @ s_mat, np.eye(len(s_mat)))
+    for lam in (1.0, 0.5, -0.3, 0.0):
+        h = build_sector_hamiltonian(ChainParams(half_length=L), lam, L).matrix
+        assert np.array_equal(s_mat.T @ h @ s_mat, h)
+        h = build_sector_hamiltonian(ChainParams(half_length=L, delta=0.1), lam, L).matrix
+        assert np.max(np.abs(s_mat.T @ h @ s_mat - h)) == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [4, 5, 6])
+def test_split_free_table_matches_one_block_route(L):
+    params = ChainParams(half_length=L)
+    s_mat = _s_matrix(L)
+    n_fixed = int(np.trace(s_mat))
+    for T, lam in ((2.0, 0.5), (2.8, -0.3), (3.5, 0.5), (4.0, 0.0)):
+        d = drive(T, lam)
+        table = average_energy_spectrum_mb(params, d, L)
+        q, theta, weight = _one_block_table(params, d, L)
+        assert np.max(np.abs(table.theta - theta)) < 1e-10
+        for f in (np.cos, np.sin):
+            assert np.max(np.abs(np.sort(f(table.quasienergy * T)) - np.sort(f(q * T)))) < 1e-10
+        assert abs(table.ground_state_weight - weight[0]) < 1e-10
+        assert table.weight.sum() == pytest.approx(1.0, abs=1e-10)
+        # the ground state of h_avg is even or odd under S; the other block's weights are exactly 0
+        parity = _lowest_parities(_sector_h_avg(params, lam, L), s_mat)[1][0]
+        other = (len(s_mat) - n_fixed) // 2 if parity > 0 else (len(s_mat) + n_fixed) // 2
+        assert np.count_nonzero(table.weight == 0.0) == other
+
+
+def test_degenerate_ground_state_in_one_block_raises():
+    # lam = -1 at odd L: both half-chains have a zero mode, and the two
+    # half-filled ground states share one S parity
+    L = 5
+    params = ChainParams(half_length=L)
+    e, parity = _lowest_parities(_sector_h_avg(params, -1.0, L), _s_matrix(L))
+    assert e[1] - e[0] < 1e-12
+    assert parity[0] == pytest.approx(parity[1], abs=1e-12)
+    with pytest.raises(DegenerateFermiLevel):
+        average_energy_spectrum_mb(params, drive(2.0, lam=-1.0), L)
+
+
+def test_degenerate_ground_state_across_blocks_raises(monkeypatch):
+    # adding a S to every H(lam) keeps S a symmetry and moves the even block
+    # up by a and the odd block down by a; a is chosen to make the lowest even
+    # and lowest odd levels of h_avg meet
+    L = 4
+    params = ChainParams(half_length=L)
+    s_mat = _s_matrix(L)
+    h_avg = _sector_h_avg(params, 0.5, L)
+    parity, q = np.linalg.eigh(s_mat)
+    even, odd = (np.linalg.eigvalsh(b.T @ h_avg @ b)[0] for b in (q[:, parity > 0], q[:, parity < 0]))
+    a = 0.5 * (odd - even)
+    build = manybody_ed.build_sector_hamiltonian
+
+    def shifted(params, lam, filling):
+        op = build(params, lam, filling)
+        return manybody_ed.SectorOperator(basis=op.basis, matrix=op.matrix + a * s_mat)
+
+    e, parity = _lowest_parities(h_avg + a * s_mat, s_mat)
+    assert e[1] - e[0] < 1e-12
+    assert parity == pytest.approx([-1.0, 1.0], abs=1e-12)
+    monkeypatch.setattr(manybody_ed, "build_sector_hamiltonian", shifted)
+    with pytest.raises(DegenerateFermiLevel):
+        average_energy_spectrum_mb(params, drive(2.0), L)
+
+
+@pytest.mark.parametrize("T", [2.0, 4.0])
+def test_lanczos_ground_state_matches_eigh(T, monkeypatch):
+    found = []
+    lowest_pair = manybody_ed._lowest_pair
+
+    def recorded(h):
+        e, v = lowest_pair(h)
+        found.append((h.copy(), e, v))
+        return e, v
+
+    monkeypatch.setattr(manybody_ed, "_lowest_pair", recorded)
+    average_energy_spectrum_mb(ChainParams(half_length=6, delta=0.1), drive(T), 6)
+    ((h, e, v),) = found
+    w, g = np.linalg.eigh(h)
+    assert np.max(np.abs(e - w[:2])) < 1e-12
+    assert 1.0 - abs(v[:, 0] @ g[:, 0]) <= 1e-12
+    assert np.linalg.norm(h @ v[:, 0] - e[0] * v[:, 0]) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_sector_table_diagonalizes_only_block_sized_matrices(delta, monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    L = 5
+    average_energy_spectrum_mb(ChainParams(half_length=L, delta=delta), drive(2.8), L)
+    dim = comb(2 * L, L)
+    if delta == 0:
+        assert max(sizes) <= (dim + 2**L) // 2
+    else:
+        assert sizes.count(dim) == 3
+        assert max(sizes) == dim
+
+
+def _lowest_k_pop_sums(theta_sp, filling, k):
+    """The lowest-K loop that sums each popped occupation with numpy (the oracle)."""
+    theta = np.sort(np.asarray(theta_sp, dtype=float))
+    n = len(theta)
+    first = tuple(range(filling))
+    first_mask = (1 << filling) - 1
+    heap = [(float(theta[:filling].sum()), first_mask, first)]
+    seen = {first_mask}
+    out = np.empty(k)
+    for found in range(k):
+        s, mask, combo = heapq.heappop(heap)
+        out[found] = theta[list(combo)].sum()
+        for j in range(filling):
+            nxt = combo[j] + 1
+            if nxt >= n or (j + 1 < filling and nxt == combo[j + 1]):
+                continue
+            new_mask = mask ^ (3 << combo[j])
+            if new_mask in seen:
+                continue
+            seen.add(new_mask)
+            new_combo = combo[:j] + (nxt,) + combo[j + 1 :]
+            heapq.heappush(heap, (s - theta[combo[j]] + theta[nxt], new_mask, new_combo))
+    out.sort()
+    return out
+
+
+def test_lowest_k_is_bitwise_the_per_pop_sum():
+    theta = two_step_theta_sp(ChainParams(half_length=15), drive(2.0))
+    out = lowest_k_free_spectrum(theta, 15, 20_000)
+    assert np.array_equal(out, _lowest_k_pop_sums(theta, 15, 20_000))
