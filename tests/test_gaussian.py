@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from floqimp import cli, gaussian
+from floqimp import cli, diagnostics, gaussian
 from floqimp.model import ChainParams, DriveFamily, DriveSpec, harmonic_block, single_particle_hamiltonian
 from floqimp.gaussian import (
     DegenerateFermiLevel,
@@ -380,13 +380,96 @@ def test_profile_matches_per_cut_definition_evolved_state():
     assert np.max(np.abs(prof.entropies - direct)) < 1e-9
 
 
-@pytest.mark.parametrize("filling", [12, 41])
-def test_profile_matches_per_cut_definition_off_half_filling(filling):
-    L = 30
-    state = _harmonic_evolved(ground_state(uniform_h(L), filling), L, 2.5, 3)
+def _counting_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def _check_every_cut_diagonalized(state, monkeypatch):
+    # a state without D C* D^T = 1 - C takes no mirror copy
+    calls = _counting_eigvalsh(monkeypatch)
     prof = entanglement_profile(state)
+    assert prof.mirror_deviation > gaussian._MIRROR_TOL
+    assert len(calls) == state.n_sites - 1
     direct = [entanglement_entropy(state, (1, int(cut))) for cut in prof.cuts]
     assert np.max(np.abs(prof.entropies - direct)) < 1e-9
+
+
+@pytest.mark.parametrize("filling", [12, 41])
+def test_profile_matches_per_cut_definition_off_half_filling(filling, monkeypatch):
+    L = 30
+    _check_every_cut_diagonalized(_harmonic_evolved(ground_state(uniform_h(L), filling), L, 2.5, 3), monkeypatch)
+
+
+def test_profile_of_a_random_half_filled_state_diagonalizes_every_cut(monkeypatch):
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 30)) + 1j * rng.standard_normal((60, 30)))
+    _check_every_cut_diagonalized(GaussianState(orbitals=q), monkeypatch)
+
+
+MIRROR_DRIVES = {
+    "two-step": DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5),
+    "harmonic": DriveSpec(DriveFamily.HARMONIC, period=4.2),
+    "no-click": DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.5, lam=1.5),
+}
+
+
+@pytest.fixture(scope="module", params=MIRROR_DRIVES)
+def mirror_run(request):
+    """Every 25th state of a 300-cycle run at 2L = 400, as the CLI evolves it."""
+    params = ChainParams(half_length=200)
+    drive = MIRROR_DRIVES[request.param]
+    states = diagnostics.stroboscopic_states(params, drive.period, (gaussian.build_propagator(params, drive),), 300)
+    return [state for cycle, _, state in states if cycle % 25 == 0]
+
+
+def test_driven_states_keep_the_particle_hole_mirror_symmetry(mirror_run):
+    # (R): D C* D^T = 1 - C with D = P Gamma, as explicit matrices
+    n = mirror_run[0].n_sites
+    d = np.diag(np.where(np.arange(n) % 2, -1.0, 1.0))[::-1]
+    for state in mirror_run:
+        c = state.correlation_matrix()
+        assert np.max(np.abs(d @ c.conj() @ d.T + c - np.eye(n))) <= 1e-12
+
+
+def test_mirrored_profile_matches_per_cut_definition(mirror_run, monkeypatch):
+    state = mirror_run[-1]
+    n = state.n_sites
+    L = n // 2
+    calls = _counting_eigvalsh(monkeypatch)
+    prof = entanglement_profile(state)
+    assert prof.mirror_deviation <= gaussian._MIRROR_TOL
+    assert len(calls) == L
+    # the per-cut definition on the smaller side of each cut (by purity):
+    # for cut c > L it reads the right block [c+1, 2L], which the mirrored
+    # profile never diagonalizes.  The left block [1, c] of a cut near 2L
+    # holds eigenvalues near 1, where 1 - nu keeps few digits (about 8e-10
+    # off at cut 399 after 300 harmonic cycles).
+    direct = [entanglement_entropy(state, (1, c) if c <= L else (c + 1, n)) for c in range(1, n)]
+    assert np.max(np.abs(prof.entropies - direct)) <= 1e-10
+
+
+@pytest.mark.parametrize("L", [2, 6, 200])
+def test_closed_form_uniform_modes_match_eigh(L):
+    params = ChainParams(half_length=L)
+    h = single_particle_hamiltonian(params, 1.0).real
+    w, v = gaussian.uniform_eigh(params)
+    w_ref, v_ref = np.linalg.eigh(h)
+    assert np.max(np.abs(w - w_ref)) <= 1e-14
+    assert np.max(np.abs(v.T @ v - np.eye(2 * L))) <= 1e-14
+    assert np.max(np.abs(h @ v - v * w)) <= 1e-14
+    phi = half_filled_ground_state(params).orbitals
+    assert phi.dtype == complex
+    assert np.max(np.abs(phi @ phi.conj().T - v_ref[:, :L] @ v_ref[:, :L].T)) <= 1e-13
+    lead = phi[np.abs(phi).argmax(axis=0), np.arange(L)]
+    assert np.all(lead.imag == 0) and np.all(lead.real > 0)
 
 
 def test_default_harmonic_propagator_is_exp_of_exact_generator():
