@@ -6,7 +6,6 @@ from .model import ChainParams, DriveFamily, DriveSpec, impurity_block, single_p
 from .gaussian import (
     GaussianState,
     Propagator,
-    ground_state,
     half_filled_ground_state,
     two_step_propagator,
     harmonic_propagator,
@@ -21,7 +20,6 @@ from .floquet_analytics import (
     quasienergy_gap,
     characteristic_roots,
     sw_effective_hamiltonian,
-    average_energy_sp,
     kato_hamiltonian_sp,
 )
 from .manybody_ed import (

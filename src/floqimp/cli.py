@@ -278,16 +278,17 @@ def cmd_phase(cfg: RunConfig) -> int:
 
 def cmd_gap(cfg: RunConfig) -> int:
     v = cfg.values
-    harmonic = v["family"] is DriveFamily.HARMONIC
-    if harmonic and "lambda" in cfg.given and v["lambda"] != 1.0:
-        raise ConfigError(_HARMONIC_LAMBDA)
+    if v["family"] is DriveFamily.HARMONIC:
+        if "lambda" in cfg.given and v["lambda"] != 1.0:
+            raise ConfigError(_HARMONIC_LAMBDA)
+        v["lambda"] = 1.0  # the closed-form generator's own strength, echoed as run
     params = ChainParams(half_length=v["L"])
     T_values = _grid(v["T-min"], v["T-max"], v["T-step"])
     pairs = diagnostics.gap_curve(
         params,
         T_values,
         family=v["family"],
-        lam=1.0 if harmonic else v["lambda"],
+        lam=v["lambda"],
         map_columns=partial(_ordered_map, v["threads"]),
     )
     comments = [cfg.echo(), f"# T_pi={np.pi!r}"]

@@ -192,19 +192,6 @@ def _prominent_minima(entropies: np.ndarray, rel_prominence: float) -> np.ndarra
     return _prominent_peaks(-entropies, rel_prominence * spread)
 
 
-def quasiparticle_velocity(delta: float) -> float:
-    """Sound velocity of the gapless interacting chain, v = (pi/2) sqrt(1-d^2)/arccos(d).
-
-    Equals 1 in the free case; revivals of the half-chain entropy recur with
-    period 2L / v.
-    """
-    if not -1.0 < delta < 1.0:
-        raise ValueError("velocity formula requires |delta| < 1")
-    if delta == 0.0:
-        return 1.0
-    return float(0.5 * np.pi * np.sqrt(1.0 - delta * delta) / np.arccos(delta))
-
-
 def revival_period(series: EETimeSeries, min_prominence: float = DEFAULT_MIN_PROMINENCE) -> float:
     """Mean spacing of the prominent entropy minima, in time units.
 

@@ -364,11 +364,6 @@ def root_average_energies(params: ChainParams, T: float, roots: list[QuasiEnergy
     return theta
 
 
-def average_energy_sp(params: ChainParams, T: float) -> np.ndarray:
-    """Sorted ``root_average_energies``: the eigenvalues of ``kato_hamiltonian_sp``."""
-    return np.sort(root_average_energies(params, T, characteristic_roots(params, T)))
-
-
 def kato_hamiltonian_sp(params: ChainParams, T: float) -> np.ndarray:
     """Average-energy operator sum_n theta_n |psi_n><psi_n| over h_F eigenstates."""
     v, theta = _harmonic_basis(params, T)

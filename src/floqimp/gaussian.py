@@ -152,33 +152,12 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     return v * phase.conj()
 
 
-def ground_state(h: np.ndarray, filling: int) -> GaussianState:
-    """Fill the lowest ``filling`` orbitals of a Hermitian hopping matrix.
-
-    Orbital phases are fixed (largest component real positive) so repeated
-    runs are bitwise reproducible.  Raises DegenerateFermiLevel when the gap
-    between the highest filled and lowest empty level is below 1e-12.
-    """
-    n = h.shape[0]
-    if not 0 <= filling <= n:
-        raise ValueError(f"filling must be in [0, {n}], got {filling}")
-    if np.max(np.abs(h - h.conj().T)) > 1e-12:
-        raise ValueError("ground_state requires a Hermitian matrix")
-    w, v = np.linalg.eigh(h)
-    if 0 < filling < n and w[filling] - w[filling - 1] < 1e-12:
-        raise DegenerateFermiLevel(
-            f"levels {filling} and {filling + 1} are degenerate "
-            f"(gap {w[filling] - w[filling - 1]:.2e})"
-        )
-    return GaussianState(orbitals=_fix_phases(v[:, :filling]))
-
-
 def half_filled_ground_state(params: ChainParams) -> GaussianState:
     """Ground state of the uniform chain at half filling (the initial state).
 
     The L lowest modes of ``uniform_eigh``, each signed so that its largest
-    component is positive, as ``ground_state`` fixes phases.  The orbitals
-    are complex, like every evolved state's.
+    component is positive.  The orbitals are complex, like every evolved
+    state's.
     """
     modes = uniform_eigh(params)[1][:, : params.half_length]
     return GaussianState(orbitals=_fix_phases(modes.astype(complex)))
@@ -369,11 +348,17 @@ def entanglement_entropy(state: GaussianState, interval: tuple[int, int]) -> flo
     """Von Neumann entropy (nats) of the sites in ``interval`` = (a, b), 1-based.
 
     Eigenvalues of the restricted correlation matrix are clipped to
-    [1e-14, 1 - 1e-14] before entering the binary-entropy sum.
+    [1e-14, 1 - 1e-14] before entering the binary-entropy sum.  A prefix or
+    suffix longer than half the chain, but not the whole chain, takes the
+    entropy of its complement, which a pure state shares: its own spectrum
+    holds eigenvalues near 1, where 1 - nu keeps few digits.
     """
     a, b = interval
-    if not 1 <= a <= b <= state.n_sites:
-        raise ValueError(f"interval {interval} out of range for {state.n_sites} sites")
+    n = state.n_sites
+    if not 1 <= a <= b <= n:
+        raise ValueError(f"interval {interval} out of range for {n} sites")
+    if 2 * (b - a + 1) > n and (a == 1) != (b == n):
+        a, b = (b + 1, n) if a == 1 else (1, a - 1)
     return _block_entropy(state.orbitals, a, b)
 
 

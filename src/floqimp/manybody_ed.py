@@ -18,7 +18,6 @@ basis carry no fermionic string sign.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, count
@@ -106,22 +105,29 @@ def build_sector_hamiltonian(params: ChainParams, lam: float, filling: int) -> S
         raise ValueError(f"sector matrices need a Hermitian defect, |lam| <= 1; got lam = {lam}")
     n = params.n_sites
     basis = sector_basis(n, filling)
-    index = basis.index()
     hop = single_particle_hamiltonian(params, lam).real
     onsite = np.diag(hop)
-    delta = params.delta
-    H = np.zeros((basis.dim, basis.dim))
-    for a, s in enumerate(basis.states):
-        occ = [(s >> j) & 1 for j in range(n)]
-        e = sum(onsite[j] for j in range(n) if occ[j])
-        if delta:
-            e = e + delta * sum(occ[j] and occ[j + 1] for j in range(n - 1))
-        H[a, a] = e
-        for j in range(n - 1):
-            if occ[j] and not occ[j + 1]:
-                b = index[s ^ (3 << j)]
-                H[b, a] += hop[j + 1, j]
-                H[a, b] += hop[j, j + 1]
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in basis.states), dtype=np.uint8)
+    occ = np.unpackbits(packed.reshape(basis.dim, width), axis=1, count=n, bitorder="little").astype(bool)
+    e = np.zeros(basis.dim)
+    for j in range(n):  # site order from 0, as a running sum over the occupied sites
+        e += np.where(occ[:, j], onsite[j], 0.0)
+    if params.delta:
+        e = e + params.delta * np.sum(occ[:, :-1] & occ[:, 1:], axis=1)
+    H = np.diag(e)
+    # The sorted bitmasks are in colex order, where {c_1 < ... < c_k} has
+    # rank sum_i C(c_i, i).  Moving the particle at j with r particles to its
+    # left to j + 1 raises the rank by C(j + 1, r + 1) - C(j, r + 1) = C(j, r);
+    # every such binomial is below the sector dimension, so clipping the
+    # others there keeps the table in int64.
+    before = np.cumsum(occ, axis=1) - occ
+    step = np.array([[min(comb(j, r), basis.dim) for r in range(filling)] for j in range(n)], dtype=np.int64)
+    for j in range(n - 1):
+        a = np.flatnonzero(occ[:, j] & ~occ[:, j + 1])
+        b = a + step[j, before[a, j]]
+        H[b, a] += hop[j + 1, j]
+        H[a, b] += hop[j, j + 1]
     return SectorOperator(basis=basis, matrix=H)
 
 
@@ -500,16 +506,62 @@ def free_ground_state_weight(params: ChainParams, drive: DriveSpec) -> float:
     return float(np.exp(2.0 * log_abs_det))
 
 
+def _expand(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For width[i] items in each group i, every item's group and its rank inside it."""
+    group = np.repeat(np.arange(len(width)), width)
+    return group, np.arange(len(group)) - np.repeat(np.cumsum(width) - width, width)
+
+
+def _subsets_by_size(values: np.ndarray, bounds: np.ndarray) -> tuple[list, list, list]:
+    """Subsets of the ascending, non-negative values with sum <= bounds[m], size by size.
+
+    Level m holds the sums of the kept m-subsets in ascending order, their
+    largest indices and the positions of their parents (the subset without
+    that index) in level m - 1.  A child adds an index past its parent's
+    largest, so the indices it may add form one searchsorted range.  bounds
+    must not increase with m: then the parent of every kept subset is kept too.
+    """
+    sums, last, parent = [np.zeros(1)], [np.full(1, -1)], [np.zeros(1, dtype=np.intp)]
+    for bound in bounds[1:]:
+        s, start = sums[-1], last[-1] + 1
+        width = np.maximum(np.searchsorted(values, bound - s, side="right") - start, 0)
+        par, rank = _expand(width)
+        j = start[par] + rank
+        child = s[par] + values[j]
+        order = np.argsort(child, kind="stable")
+        sums.append(child[order])
+        last.append(j[order])
+        parent.append(par[order])
+    return sums, last, parent
+
+
+def _members(last: list, parent: list, nodes: np.ndarray, m: int) -> np.ndarray:
+    """Ascending indices of the level-m subsets at positions nodes, one row each."""
+    out = np.empty((len(nodes), m), dtype=np.intp)
+    for level in range(m, 0, -1):
+        out[:, level - 1] = last[level][nodes]
+        nodes = parent[level][nodes]
+    return out
+
+
 def lowest_k_free_spectrum(theta_sp: np.ndarray, filling: int, k: int) -> np.ndarray:
     """K smallest sums of ``filling`` distinct entries of theta_sp, ascending.
 
-    Best-first search from the ground filling: the heap holds candidate
-    occupations keyed by incrementally updated sums, each expansion moves one
-    occupied index up by one slot, and a visited set of bitmasks prevents
-    duplicates.  Ties are broken by bitmask value.  The popped occupations
-    are kept, and the returned values are their direct numpy sums over the
-    ascending-sorted input, taken at the end, so the full-sector output
-    matches brute-force enumeration exactly.
+    The output is exactly the first K of the sorted direct sums that
+    brute-force enumeration returns: each value is the numpy sum of its
+    occupation's entries of the ascending-sorted input, in index order.
+
+    Every occupation is the ground filling with m holes R and m particles P.
+    With mu midway between the last filled and first empty level, the
+    particle energies theta[filling:] - mu and hole energies mu - theta[:filling]
+    are non-negative, and the excitation key a(P) + b(R) is the occupation's
+    sum minus the ground sum.  A threshold t is grown geometrically until at
+    least K keys are <= t, then bisected on that count.  Each side's subsets
+    are enumerated size by size, pruned at t minus the other side's smallest
+    m-sum, and the count is a searchsorted over each size's hole sums.
+    The occupations with key <= t + margin are summed directly; margin covers
+    twice the rounding of a key and of a direct sum, so no occupation left out
+    can be among the K smallest sums.
     """
     theta = np.sort(np.asarray(theta_sp, dtype=float))
     n = len(theta)
@@ -518,31 +570,45 @@ def lowest_k_free_spectrum(theta_sp: np.ndarray, filling: int, k: int) -> np.nda
     total = comb(n, filling)
     if not 1 <= k <= total:
         raise KOutOfRange(f"k must be in [1, {total}], got {k}")
-    if filling == 0:
-        return np.zeros(1)
-    values = theta.tolist()
-    first = tuple(range(filling))
-    first_mask = (1 << filling) - 1
-    heap = [(float(theta[:filling].sum()), first_mask, first)]
-    seen = {first_mask}
-    popped = []  # the popped occupations, concatenated
-    for _ in range(k):
-        s, mask, combo = heapq.heappop(heap)
-        popped.extend(combo)
-        for j, site in enumerate(combo):
-            nxt = site + 1
-            if nxt >= n or (j + 1 < filling and nxt == combo[j + 1]):
-                continue
-            new_mask = mask ^ (3 << site)
-            if new_mask in seen:
-                continue
-            seen.add(new_mask)
-            new_combo = combo[:j] + (nxt,) + combo[j + 1 :]
-            heapq.heappush(heap, (s - values[site] + values[nxt], new_mask, new_combo))
-    # summed in chunks so that no K x filling index array is held at once
-    chunk = 4096 * filling
-    out = np.concatenate(
-        [theta[np.array(popped[i : i + chunk]).reshape(-1, filling)].sum(axis=1) for i in range(0, len(popped), chunk)]
-    )
+    top = min(filling, n - filling)  # the most particle-hole pairs
+    mu = 0.5 * (theta[filling - 1] + theta[filling]) if top else 0.0
+    part = np.maximum(theta[filling:] - mu, 0.0)
+    hole = np.maximum(mu - theta[:filling][::-1], 0.0)  # hole i empties level filling - 1 - i
+    part_min = np.concatenate([[0.0], np.cumsum(part[:top])])
+    hole_min = np.concatenate([[0.0], np.cumsum(hole[:top])])
+    # a key or a direct sum adds at most n terms of size <= |theta_i| + |mu|
+    margin = 16 * n * np.finfo(float).eps * (np.abs(theta).sum() + n * abs(mu))
+
+    def enumerate_to(t):
+        return _subsets_by_size(part, t + margin - hole_min), _subsets_by_size(hole, t + margin - part_min)
+
+    def count(t):
+        return sum(int(np.searchsorted(b, t - a, side="right").sum()) for a, b in zip(parts[0], holes[0]))
+
+    lo, t = 0.0, (max(part[0] + hole[0], margin) if top else 0.0)
+    parts, holes = enumerate_to(t)
+    have = count(t)
+    while have < k:
+        lo, t = t, 2.0 * t
+        parts, holes = enumerate_to(t)
+        have = count(t)
+    while have - k > k // 16 and t - lo > margin:
+        mid = 0.5 * (lo + t)
+        below = count(mid)
+        if below >= k:
+            t, have = mid, below
+        else:
+            lo = mid
+    out = []
+    for m, (a, b) in enumerate(zip(parts[0], holes[0])):
+        p_nodes, h_nodes = _expand(np.searchsorted(b, t + margin - a, side="right"))
+        for i in range(0, len(p_nodes), 4096):  # chunks, so that no K x filling index array is held
+            p_idx = _members(parts[1], parts[2], p_nodes[i : i + 4096], m)
+            h_idx = _members(holes[1], holes[2], h_nodes[i : i + 4096], m)
+            kept = np.ones((len(p_idx), filling), dtype=bool)
+            kept[np.arange(len(h_idx))[:, None], filling - 1 - h_idx] = False
+            idx = np.concatenate([np.nonzero(kept)[1].reshape(len(p_idx), filling - m), filling + p_idx], axis=1)
+            out.append(theta[idx].sum(axis=1))
+    out = np.concatenate(out)
     out.sort()
-    return out
+    return out[:k]

@@ -5,10 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from floqimp import checks, cli, floquet_analytics
+from floqimp import checks, cli, floquet_analytics, manybody_ed
 from floqimp.cli import main
 from floqimp.floquet_analytics import RootCountMismatch
-from floqimp.model import ChainParams
+from floqimp.model import ChainParams, DriveFamily, DriveSpec
 
 
 def run(capsys, *argv):
@@ -153,6 +153,21 @@ def test_spectrum_free_lowk_sorted(tmp_path, capsys):
     _, _, _, rows = read_csv(out)
     vals = [float(r.split(",")[2]) for r in rows]
     assert len(vals) == 20 and vals == sorted(vals)
+
+
+def test_spectrum_free_lowk_past_63_sites(tmp_path, capsys):
+    # occupations past 63 sites do not fit an int64 bitmask
+    out = tmp_path / "lowk.csv"
+    code, _, _ = run(
+        capsys, "spectrum", "--mode", "free-lowk", "--sites", "70", "--K", "200", "--T", "2.0", "--out", str(out)
+    )
+    assert code == 0
+    vals = np.array([float(r.split(",")[2]) for r in read_csv(out)[3]])
+    theta = manybody_ed.two_step_theta_sp(ChainParams(half_length=35), DriveSpec(DriveFamily.TWO_STEP, 2.0, 0.5))
+    assert len(vals) == 200 and np.all(np.diff(vals) >= 0)
+    assert vals[0] == np.sort(theta)[:35].sum()
+    # the lowest excitations: one particle-hole pair across the Fermi level
+    assert vals[1] == pytest.approx(vals[0] + theta[35] - theta[34], abs=1e-12)
 
 
 def test_phase_grid_and_pi_marker(tmp_path, capsys):
@@ -487,11 +502,23 @@ def test_gap_harmonic_rejects_given_lambda(tmp_path, capsys, monkeypatch):
     assert run(capsys, *GAP, "--config", str(cfg))[0] == 2
     out = tmp_path / "gap.csv"
     assert run(capsys, *GAP, "--out", str(out))[0] == 0
-    assert "family=harmonic" in read_csv(out)[1][0] and "lambda=0.5" in read_csv(out)[1][0]
+    assert "family=harmonic" in read_csv(out)[1][0]
     assert run(capsys, *GAP, "--lambda", "1.0")[0] == 0
     assert run(capsys, *GAP, "--family", "two-step", "--lambda", "0.3")[0] == 0
     monkeypatch.setenv("FLOQIMP_LAMBDA", "0.3")
     assert run(capsys, *GAP)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "family, given, echoed",
+    [("harmonic", None, "1.0"), ("harmonic", "1", "1.0"), ("two-step", None, "0.5"), ("two-step", "0.3", "0.3")],
+)
+def test_gap_header_echoes_the_lambda_it_ran(family, given, echoed, tmp_path, capsys):
+    out = tmp_path / "gap.csv"
+    extra = () if given is None else ("--lambda", given)
+    assert run(capsys, *GAP, "--family", family, *extra, "--out", str(out))[0] == 0
+    header = read_csv(out)[1][0]
+    assert f" lambda={echoed} " in header + " "
 
 
 def run_with(capsys, tmp_path, monkeypatch, source, argv, key, text):

@@ -20,7 +20,6 @@ from floqimp.diagnostics import (
     phase_diagram,
     pt_boundary,
     pt_classify,
-    quasiparticle_velocity,
     revival_period,
     stroboscopic_states,
     two_step_mu,
@@ -29,6 +28,17 @@ from test_gaussian import symmetrized_two_step
 
 PARAMS = ChainParams(half_length=4)
 DRIVE = DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5)
+
+
+def quasiparticle_velocity(delta):
+    """Sound velocity of the gapless interacting chain, v = (pi/2) sqrt(1-d^2)/arccos(d), |d| < 1.
+
+    Equals 1 in the free case; revivals of the half-chain entropy recur with
+    period 2L / v.
+    """
+    if delta == 0.0:
+        return 1.0
+    return float(0.5 * np.pi * np.sqrt(1.0 - delta * delta) / np.arccos(delta))
 
 
 def series_from(values, T=2.5):

@@ -13,7 +13,6 @@ from floqimp.gaussian import (
     entanglement_entropy,
     entanglement_profile,
     evolve,
-    ground_state,
     half_chain_entropy,
     half_filled_ground_state,
     harmonic_propagator,
@@ -25,6 +24,18 @@ from floqimp.floquet_analytics import floquet_hamiltonian_exact
 
 def uniform_h(L):
     return single_particle_hamiltonian(ChainParams(half_length=L), 1.0)
+
+
+def ground_state(h, filling):
+    """The lowest ``filling`` orbitals of the Hermitian h, largest component real positive.
+
+    Raises DegenerateFermiLevel when the highest filled and lowest empty
+    levels are closer than 1e-12.
+    """
+    w, v = np.linalg.eigh(h)
+    if 0 < filling < len(w) and w[filling] - w[filling - 1] < 1e-12:
+        raise DegenerateFermiLevel(f"levels {filling} and {filling + 1} are degenerate")
+    return GaussianState(orbitals=gaussian._fix_phases(v[:, :filling]))
 
 
 def symmetrized_two_step(params, drive):
@@ -447,13 +458,22 @@ def test_mirrored_profile_matches_per_cut_definition(mirror_run, monkeypatch):
     prof = entanglement_profile(state)
     assert prof.mirror_deviation <= gaussian._MIRROR_TOL
     assert len(calls) == L
-    # the per-cut definition on the smaller side of each cut (by purity):
-    # for cut c > L it reads the right block [c+1, 2L], which the mirrored
-    # profile never diagonalizes.  The left block [1, c] of a cut near 2L
-    # holds eigenvalues near 1, where 1 - nu keeps few digits (about 8e-10
-    # off at cut 399 after 300 harmonic cycles).
-    direct = [entanglement_entropy(state, (1, c) if c <= L else (c + 1, n)) for c in range(1, n)]
+    # the per-cut definition reads the right block [c+1, 2L] for cut c > L,
+    # which the mirrored profile never diagonalizes
+    direct = [entanglement_entropy(state, (1, c)) for c in range(1, n)]
     assert np.max(np.abs(prof.entropies - direct)) <= 1e-10
+
+
+def test_long_prefix_and_suffix_take_their_complement(mirror_run):
+    # the block [1, 2L-1] itself holds eigenvalues near 1, where 1 - nu keeps
+    # few digits: 7.6e-10 off its complement after 300 harmonic cycles
+    state = mirror_run[-1]
+    n = state.n_sites
+    last, first = entanglement_entropy(state, (n, n)), entanglement_entropy(state, (1, 1))
+    assert abs(entanglement_entropy(state, (1, n - 1)) - last) <= 1e-12
+    assert abs(entanglement_entropy(state, (2, n)) - first) <= 1e-12
+    # the mirror symmetry (R) gives S([1, 2L-1]) = S([1, 1]) by an independent route
+    assert abs(entanglement_entropy(state, (1, n - 1)) - first) <= 1e-12
 
 
 @pytest.mark.parametrize("L", [2, 6, 200])
