@@ -398,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _MODEL_ERRORS = (
-    floquet_analytics.RootCountMismatch,
     floquet_analytics.NormalizationUnderflow,
     gaussian.DegenerateFermiLevel,
     gaussian.RankDeficient,

@@ -5,10 +5,15 @@ For the harmonic drive the stroboscopic generator is known in closed form:
     h_F = h_uniform + (pi/T) (sigma - 1),
 
 where sigma is the mirror operator coupling each site j to its partner
-2L+1-j.  This module provides the mirror algebra, the closed-form h_F, its
-transcendental spectrum and eigenvectors, the perturbative (Schrieffer-Wolff)
-low-band Hamiltonian at small T, and the single-particle average-energy
-(Kato) objects built from h_F eigenstates.
+2L+1-j.  With W = (i - P)/sqrt(2), P the mirror permutation, W^dagger h_F W
+is the real uniform chain with a step of -2 pi/T on sites 1..L
+(``harmonic_chain``), whose two bands overlap exactly when T > pi.  The
+propagator, gap, roots and Kato operator are built from it; the dense
+``floquet_hamiltonian_exact`` stays as their oracle.  This module provides
+the mirror algebra, the closed-form h_F, its transcendental spectrum and
+eigenvectors, the perturbative (Schrieffer-Wolff) low-band Hamiltonian at
+small T, and the single-particle average-energy (Kato) objects built from
+h_F eigenstates.
 
 All single-particle formulas replace the many-body particle-number operator
 by the identity; this convention is applied uniformly.
@@ -21,13 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChainParams, single_particle_hamiltonian, bond_matrix, imbalance_matrix
-
-
-_HF_CLUSTER_TOL = 1e-12
-
-
-class RootCountMismatch(Exception):
-    """Raised when the bracketing scan cannot locate all 2L spectral roots."""
 
 
 class NormalizationUnderflow(Exception):
@@ -106,14 +104,44 @@ def floquet_hamiltonian_exact(params: ChainParams, T: float) -> np.ndarray:
     return h
 
 
+def harmonic_chain(params: ChainParams, T: float) -> np.ndarray:
+    """W^dagger h_F W: the real uniform chain with -2 pi/T on sites 1..L.
+
+    W = (i - P)/sqrt(2) is unitary and leaves h_uniform invariant, and takes
+    sigma to -1 on the left half and +1 on the right.  Every off-diagonal
+    is -1/2, so the chain is a Jacobi matrix with simple eigenvalues.
+    """
+    if T <= 0:
+        raise ValueError("T must be positive")
+    h = single_particle_hamiltonian(params, 1.0).real.copy()
+    h[np.diag_indices(params.half_length)] -= 2.0 * np.pi / T
+    return h
+
+
+def from_chain(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:
+    """W X W^dagger for X = re + i im given in the frame of ``harmonic_chain``.
+
+    W X W^dagger = (X + P X P + i (P X - X P))/2, with P X a row reversal
+    and X P a column reversal; re and im stay real throughout.
+    """
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re + re[::-1, ::-1]
+    out.imag = re[::-1] - re[:, ::-1]
+    if im is not None:
+        out.real -= im[::-1] - im[:, ::-1]
+        out.imag += im + im[::-1, ::-1]
+    out *= 0.5
+    return out
+
+
 def quasienergy_gap(params: ChainParams, T: float) -> float:
     """Spacing between the L-th and (L+1)-th sorted eigenvalues of h_F.
 
-    For T < pi this is the gap between the two mirror-split bands; once the
-    bands overlap it collapses to a typical level spacing (order 1/L), so a
+    For T < pi this is the gap between the two bands of the step chain; once
+    they overlap it collapses to a typical level spacing (order 1/L), so a
     small value signals the closed-gap regime.
     """
-    w = np.linalg.eigvalsh(floquet_hamiltonian_exact(params, T))
+    w = np.linalg.eigvalsh(harmonic_chain(params, T))
     L = params.half_length
     return float(w[L] - w[L - 1])
 
@@ -132,14 +160,15 @@ def quasienergy_gap(params: ChainParams, T: float) -> float:
 #
 # with x+ = -(E + 2 pi/T), x- = -E.  g is the characteristic polynomial of
 # h_F up to a constant: continuous, pole-free, sign-changing at every root.
+# The roots come from a Sturm count on ``harmonic_chain``; g gives residuals.
 
 
 def _chebyshev_u_pair(x: float, L: int) -> tuple[float, float]:
     """(U_{L-1}(x), U_L(x)), rescaled by a positive factor for |x| > 1.
 
     U_m(cosh k) = sinh((m+1) k)/sinh(k).  Outside [-1, 1] the pair is scaled
-    by exp(-arccosh|x| * L); the scaling is positive so sign structure (all
-    that bracketing needs) is preserved.
+    by exp(-arccosh|x| * L); the scaling is positive, so the sign of the
+    characteristic polynomial is preserved.
     """
     if abs(x) <= 1.0:
         um, u = 1.0, 2.0 * x
@@ -176,82 +205,56 @@ class QuasiEnergyRoot:
     residual: float
 
 
-def _scan_band(L: int, T: float, center: float, n_cells: int) -> list[float]:
-    """Sign-change scan of the characteristic polynomial over one band.
+def _sturm_counts(chain: np.ndarray, es: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of the tridiagonal ``chain`` below each energy in es.
 
-    The band [center-1, center+1] is swept in the arc parameter q with
-    E = center - cos(q); roots cluster uniformly in q, not in E.
+    The count of negative pivots of the LDL^T factorisation of chain - E,
+    vectorized over es.  A pivot of modulus below the smallest normal
+    number is replaced by minus it, as LAPACK's dstebz does, so an exact
+    zero neither divides by zero nor changes the count.
     """
-    qs = np.linspace(0.0, np.pi, n_cells + 1)
-    es = center - np.cos(qs)
-    gs = np.array([_char_poly(E, L, T) for E in es])
-    roots = []
-    if gs[-1] == 0.0:
-        roots.append(float(es[-1]))
-    for i in range(n_cells):
-        g1, g2 = gs[i], gs[i + 1]
-        if g1 == 0.0:  # exact hit on a grid point
-            roots.append(float(es[i]))
-            continue
-        if g1 * g2 >= 0.0:
-            continue
-        a, b, ga = qs[i], qs[i + 1], g1
-        while True:
-            m = 0.5 * (a + b)
-            if m == a or m == b:
-                break
-            gm = _char_poly(center - np.cos(m), L, T)
-            if gm == 0.0:
-                a = b = m
-                break
-            if ga * gm < 0.0:
-                b = m
-            else:
-                a, ga = m, gm
-        roots.append(float(center - np.cos(0.5 * (a + b))))
-    return roots
+    e2 = np.concatenate([[0.0], np.diag(chain, 1) ** 2])
+    pivmin = np.finfo(float).tiny * max(1.0, e2.max())
+    count = np.zeros(es.shape, dtype=int)
+    q = np.ones(es.shape)
+    for d, b2 in zip(np.diag(chain), e2):
+        q = (d - es) - b2 / q
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        count += q < 0.0
+    return count
 
 
 def characteristic_roots(params: ChainParams, T: float) -> list[QuasiEnergyRoot]:
-    """All 2L real roots of the spectral condition, by bracketing + bisection.
+    """All 2L real roots of the spectral condition, by bisection on a Sturm count.
 
-    Each of the two spectral bands (centres 0 and -2 pi/T, half-width 1) is
-    scanned on a uniform grid in its arc parameter; sign changes are refined
-    by bisection to machine precision, duplicates from overlapping bands are
-    merged.  The grid starts at 8L cells per band and doubles up to three
-    times before RootCountMismatch is raised.
+    The roots are the eigenvalues of ``harmonic_chain``, a Jacobi matrix, so
+    they are simple.  All 2L are bisected at once from the Gershgorin
+    interval [-2 pi/T - 1, 1], root k keeping the half in which
+    ``_sturm_counts`` passes k.  53 halvings bring the interval below eps
+    times its larger bound, LAPACK dstebz's default absolute tolerance.
 
     Inverse-cosh branch: kappa carries Re >= 0 and Im in [0, pi].
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    L = params.half_length
+    chain = harmonic_chain(params, T)
     shift = 2.0 * np.pi / T
-    energies: list[float] = []
-    for attempt in range(4):
-        n_cells = 8 * L * (2**attempt)
-        found: list[float] = []
-        for center in (0.0, -shift):
-            found.extend(_scan_band(L, T, center, n_cells))
-        found.sort()
-        energies = []
-        for e in found:
-            if energies and abs(e - energies[-1]) < 1e-10:
-                continue
-            energies.append(e)
-        if len(energies) == 2 * L:
-            break
-    if len(energies) != 2 * L:
-        raise RootCountMismatch(
-            f"found {len(energies)} roots, expected {2 * L} (L={L}, T={T})"
+    index = np.arange(len(chain))
+    lo = np.full(len(chain), -1.0 - shift)
+    hi = np.ones(len(chain))
+    for _ in range(53):
+        mid = 0.5 * (lo + hi)
+        above = _sturm_counts(chain, mid) > index
+        lo = np.where(above, lo, mid)
+        hi = np.where(above, mid, hi)
+    L = params.half_length
+    return [
+        QuasiEnergyRoot(
+            energy=e,
+            kappa_plus=complex(np.arccosh(complex(-(e + shift)))),
+            kappa_minus=complex(np.arccosh(complex(-e))),
+            residual=abs(_char_poly(e, L, T)),
         )
-    roots = []
-    for e in energies:
-        kp = complex(np.arccosh(complex(-(e + shift))))
-        km = complex(np.arccosh(complex(-e)))
-        res = abs(_char_poly(e, L, T))
-        roots.append(QuasiEnergyRoot(energy=e, kappa_plus=kp, kappa_minus=km, residual=res))
-    return roots
+        for e in (0.5 * (lo + hi)).tolist()
+    ]
 
 
 def _sinh_ratio_array(x: float, ms: np.ndarray, n: int) -> np.ndarray:
@@ -310,43 +313,16 @@ def sw_effective_hamiltonian(params: ChainParams, T: float) -> np.ndarray:
 # --- average energy / Kato objects -------------------------------------------
 
 
-def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Index runs of ascending ``values`` whose neighbouring gaps are at most tol."""
-    breaks = np.flatnonzero(np.diff(values) > tol) + 1
-    return np.split(np.arange(len(values)), breaks)
-
-
-def _align_clusters(groups: list[np.ndarray], psi: np.ndarray, h_psi: np.ndarray):
-    """Gauge-fix each degenerate cluster of an eigenbasis psi.
-
-    groups are index arrays of states sharing one eigenvalue, and h_psi is
-    the reference Hamiltonian applied to psi.  Inside a cluster the basis is
-    a free choice, so for every group of more than one state this returns
-    (idx, pw, pv): pv rotates psi[:, idx] onto the eigenvectors of the
-    projected reference Hamiltonian, and pw are its eigenvalues.
-    """
-    out = []
-    for idx in groups:
-        if len(idx) > 1:
-            proj = psi[:, idx].conj().T @ h_psi[:, idx]
-            pw, pv = np.linalg.eigh(0.5 * (proj + proj.conj().T))
-            out.append((idx, pw, pv))
-    return out
-
-
 def _harmonic_basis(params: ChainParams, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of h_F and their average energies <psi_n| h_uniform |psi_n>.
+    """Real eigenvectors v of ``harmonic_chain`` and their average energies.
 
-    Inside every eigenvalue cluster of h_F (spacing <= 1e-12) the basis is
-    rotated to diagonalise the projected h_uniform, which removes the gauge
-    ambiguity of the average energies.
+    h_F's eigenvectors are W v, and W leaves h_uniform invariant, so theta_n
+    = v_n^T h_uniform v_n = w_n + (2 pi/T) sum_{j <= L} v_jn^2, the formula
+    of ``root_average_energies``.  The chain's eigenvalues are simple.
     """
-    w, v = np.linalg.eigh(floquet_hamiltonian_exact(params, T))
-    h_v = single_particle_hamiltonian(params, 1.0) @ v
-    theta = np.real(np.sum(v.conj() * h_v, axis=0))
-    for idx, pw, pv in _align_clusters(_clusters(w, _HF_CLUSTER_TOL), v, h_v):
-        v[:, idx] = v[:, idx] @ pv
-        theta[idx] = pw
+    w, v = np.linalg.eigh(harmonic_chain(params, T))
+    L = params.half_length
+    theta = w + (2.0 * np.pi / T) * np.sum(v[:L] ** 2, axis=0)
     return v, theta
 
 
@@ -365,9 +341,9 @@ def root_average_energies(params: ChainParams, T: float, roots: list[QuasiEnergy
 
 
 def kato_hamiltonian_sp(params: ChainParams, T: float) -> np.ndarray:
-    """Average-energy operator sum_n theta_n |psi_n><psi_n| over h_F eigenstates."""
+    """Average-energy operator sum_n theta_n |psi_n><psi_n|, as W (v theta) v^T W^dagger."""
     v, theta = _harmonic_basis(params, T)
-    return (v * theta) @ v.conj().T
+    return from_chain((v * theta) @ v.T)
 
 
 @dataclass(frozen=True)

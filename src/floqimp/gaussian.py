@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .floquet_analytics import floquet_hamiltonian_exact
+from .floquet_analytics import from_chain, harmonic_chain
 from .model import ChainParams, DriveFamily, DriveSpec, harmonic_block, single_particle_hamiltonian
 
 _ORTHO_TOL = 1e-8
@@ -245,12 +245,13 @@ def two_step_propagator(params: ChainParams, drive: DriveSpec) -> Propagator:
 def harmonic_propagator(params: ChainParams, T: float) -> Propagator:
     """One-period propagator of the harmonic drive, in closed form.
 
-    exp(-i h_F T), h_F = h_uniform + (pi/T)(sigma - 1) from
-    ``floquet_hamiltonian_exact``: one eigh.  ``midpoint_propagator`` is
-    the independent route it is checked against.
+    exp(-i h_F T) = W (C - i S) W^dagger from one real eigh v w v^T of
+    ``harmonic_chain``: C = v cos(wT) v^T and S = v sin(wT) v^T.
+    ``midpoint_propagator`` is the independent route it is checked against.
     """
-    w, v = np.linalg.eigh(floquet_hamiltonian_exact(params, T))
-    return Propagator(matrix=(v * np.exp(-1j * w * T)) @ v.conj().T, unitary=True)
+    w, v = np.linalg.eigh(harmonic_chain(params, T))
+    u = from_chain((v * np.cos(w * T)) @ v.T, (v * -np.sin(w * T)) @ v.T)
+    return Propagator(matrix=u, unitary=True)
 
 
 def midpoint_propagator(params: ChainParams, T: float, n_sub: int) -> Propagator:

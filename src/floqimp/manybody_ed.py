@@ -25,7 +25,6 @@ from math import comb
 
 import numpy as np
 
-from .floquet_analytics import _align_clusters, _clusters
 from .gaussian import DegenerateFermiLevel
 from .model import ChainParams, DriveFamily, DriveSpec, single_particle_hamiltonian
 
@@ -164,6 +163,30 @@ class ManyBodySpectrumTable:
     @property
     def ground_state_weight(self) -> float:
         return float(self.weight[0])
+
+
+def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Index runs of ascending ``values`` whose neighbouring gaps are at most tol."""
+    breaks = np.flatnonzero(np.diff(values) > tol) + 1
+    return np.split(np.arange(len(values)), breaks)
+
+
+def _align_clusters(groups: list[np.ndarray], psi: np.ndarray, h_psi: np.ndarray):
+    """Gauge-fix each degenerate cluster of an eigenbasis psi.
+
+    groups are index arrays of states sharing one eigenvalue, and h_psi is
+    the reference Hamiltonian applied to psi.  Inside a cluster the basis is
+    a free choice, so for every group of more than one state this returns
+    (idx, pw, pv): pv rotates psi[:, idx] onto the eigenvectors of the
+    projected reference Hamiltonian, and pw are its eigenvalues.
+    """
+    out = []
+    for idx in groups:
+        if len(idx) > 1:
+            proj = psi[:, idx].conj().T @ h_psi[:, idx]
+            pw, pv = np.linalg.eigh(0.5 * (proj + proj.conj().T))
+            out.append((idx, pw, pv))
+    return out
 
 
 def _orthogonal_eigh(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ import pytest
 
 from floqimp import checks, cli, floquet_analytics, manybody_ed
 from floqimp.cli import main
-from floqimp.floquet_analytics import RootCountMismatch
+from floqimp.floquet_analytics import NormalizationUnderflow
 from floqimp.model import ChainParams, DriveFamily, DriveSpec
 
 
@@ -287,13 +287,13 @@ def test_verify_failing_row_prints_fail_and_exits_1(capsys, monkeypatch):
 
 
 def test_verify_model_error_exits_3(capsys, monkeypatch):
-    def mismatch():
-        raise RootCountMismatch("planted")
+    def underflow():
+        raise NormalizationUnderflow("planted")
 
-    monkeypatch.setitem(checks.SUITES, "roots", mismatch)
+    monkeypatch.setitem(checks.SUITES, "roots", underflow)
     code, _, err = run(capsys, "verify", "--suite", "roots")
     assert code == 3
-    assert err.startswith("RootCountMismatch")
+    assert err.startswith("NormalizationUnderflow")
 
 
 def test_config_file_and_env_precedence(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from floqimp import floquet_analytics
 from floqimp.floquet_analytics import (
     characteristic_roots,
     floquet_hamiltonian_exact,
+    harmonic_chain,
     kato_hamiltonian_sp,
     mirror_operator,
     quasienergy_gap,
@@ -52,6 +55,69 @@ def test_closed_form_matches_midpoint_propagator():
         assert dev < 1e-5
 
 
+def frame(L):
+    """sqrt(2) W = i - P as a dense matrix, P the mirror j <-> 2L+1-j.
+
+    Its entries are 0, -1 and i, so products with it round only where the
+    other factor's entries are summed.
+    """
+    n = 2 * L
+    return 1j * np.eye(n) - np.eye(n)[::-1]
+
+
+@pytest.mark.parametrize("L", [2, 6, 200])
+def test_frame_is_unitary_and_fixes_uniform_chain(L):
+    u = frame(L)
+    assert np.array_equal(u.conj().T @ u, 2.0 * np.eye(2 * L))
+    h = single_particle_hamiltonian(ChainParams(half_length=L), 1.0)
+    assert np.max(np.abs(u.conj().T @ h @ u / 2.0 - h)) < 1e-15
+
+
+@pytest.mark.parametrize("L", [2, 6, 200])
+@pytest.mark.parametrize("T", [1.0, 2.5, 4.2])
+def test_frame_maps_generator_onto_real_step_chain(L, T):
+    params = ChainParams(half_length=L)
+    u = frame(L)
+    chain = harmonic_chain(params, T)
+    assert chain.dtype == float
+    hf = floquet_hamiltonian_exact(params, T)
+    rotated = u.conj().T @ hf @ u / 2.0
+    assert np.max(np.abs(rotated - chain)) < 1e-15
+    assert np.all(rotated.imag == 0.0)
+    assert np.max(np.abs(np.linalg.eigvalsh(chain) - np.linalg.eigvalsh(hf))) < 1e-13
+
+
+@pytest.mark.parametrize("L", [2, 6, 200])
+def test_from_chain_applies_the_frame(L):
+    rng = np.random.default_rng(L)
+    re, im = rng.standard_normal((2, 2 * L, 2 * L))
+    u = frame(L)
+    expect = u @ (re + 1j * im) @ u.conj().T / 2.0
+    assert np.max(np.abs(floquet_analytics.from_chain(re, im) - expect)) < 1e-13
+    assert np.max(np.abs(floquet_analytics.from_chain(re) - u @ re @ u.conj().T / 2.0)) < 1e-13
+
+
+def basis_theta_oracle(params, T):
+    """theta from a complex eigh of h_F, aligned inside clusters of 1e-12."""
+    w, v = np.linalg.eigh(floquet_hamiltonian_exact(params, T))
+    h_v = single_particle_hamiltonian(params, 1.0) @ v
+    theta = np.real(np.sum(v.conj() * h_v, axis=0))
+    breaks = np.flatnonzero(np.diff(w) > 1e-12) + 1
+    for idx in np.split(np.arange(len(w)), breaks):
+        if len(idx) > 1:
+            proj = v[:, idx].conj().T @ h_v[:, idx]
+            theta[idx] = np.linalg.eigvalsh(0.5 * (proj + proj.conj().T))
+    return theta
+
+
+@pytest.mark.parametrize("T", [2.8, 3.3, 4.2])
+def test_harmonic_basis_theta_matches_complex_eigh(T):
+    params = ChainParams(half_length=50)
+    v, theta = floquet_analytics._harmonic_basis(params, T)
+    assert v.dtype == float
+    assert np.max(np.abs(theta - basis_theta_oracle(params, T))) < 1e-10
+
+
 def test_gap_high_frequency():
     gap = quasienergy_gap(ChainParams(half_length=100), 0.5)
     assert 2 * np.pi / 0.5 - 4.0 < gap < 2 * np.pi / 0.5
@@ -84,6 +150,31 @@ def test_characteristic_roots_match_diagonalization(L, T):
     roots = characteristic_roots(ChainParams(half_length=L), T)
     assert len(roots) == 2 * L
     assert max(r.residual for r in roots) < 1e-9
+
+
+@pytest.mark.parametrize("T", [1.0, np.pi, 5.0])
+def test_sturm_roots_match_dense_spectrum_at_400_sites(T):
+    params = ChainParams(half_length=200)
+    energies = np.array([r.energy for r in characteristic_roots(params, T)])
+    assert len(energies) == 400
+    assert np.all(np.diff(energies) > 0)
+    dense = np.linalg.eigvalsh(floquet_hamiltonian_exact(params, T))
+    assert np.max(np.abs(energies - dense)) < 1e-13
+
+
+def test_sturm_count_survives_an_exact_zero_pivot():
+    # at E = -2 pi/T the first pivot of chain - E is exactly 0
+    params = ChainParams(half_length=10)
+    T = 2.5
+    chain = harmonic_chain(params, T)
+    es = np.array([chain[0, 0], -1.3, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = floquet_analytics._sturm_counts(chain, es)
+    eigs = np.linalg.eigvalsh(chain)
+    assert chain[0, 0] - es[0] == 0.0
+    assert np.min(np.abs(eigs - es[0])) > 1e-3
+    assert list(counts) == [int(np.sum(eigs < e)) for e in es]
 
 
 def test_root_kappa_branches():
