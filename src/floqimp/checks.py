@@ -5,7 +5,7 @@
 unit tests read the same rows instead of restating the checks: criterion 01
 takes its 4096-step deviations from ``eq4``, 02 its root errors from
 ``roots``, 05 its exponent from ``sw``, 06 its locality numbers from
-``kato`` and 10 its lambda = 2 anchor from ``pt``.
+``kato`` and 10 its lambda = 2 anchor, with its eigvals oracle, from ``pt``.
 """
 
 from __future__ import annotations
@@ -100,17 +100,19 @@ def _hermiticity():
 
 
 def _pt():
+    # lam = 2 breaks between T = 2.7 and 2.8; the complex eigvals of the full period are the oracle
     params = ChainParams(half_length=200)
-    p1 = diagnostics.pt_classify(
-        params, DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.7, lam=2.0)
-    )
-    p2 = diagnostics.pt_classify(
-        params, DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.8, lam=2.0)
-    )
-    return [
-        ("pt_symmetric_T2.7", p1.score, 1e-6, p1.label is diagnostics.PhaseLabel.PT_SYMMETRIC),
-        ("pt_broken_T2.8", p2.score, 1e-6, p2.label is diagnostics.PhaseLabel.PT_BROKEN),
-    ]
+    sym = diagnostics.PhaseLabel.PT_SYMMETRIC
+    out = []
+    for T, want, bound in ((2.7, sym, 1e-12), (2.8, diagnostics.PhaseLabel.PT_BROKEN, 1e-9)):
+        drive = DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=T, lam=2.0)
+        point = diagnostics.pt_classify(params, drive)
+        u = np.linalg.eigvals(gaussian.two_step_propagator(params, drive).matrix)
+        oracle = float(np.max(np.abs(np.abs(u) - 1.0)))
+        dev = oracle if want is sym else abs(point.score - oracle) / oracle
+        out.append((f"{want.value.replace('-', '_')}_T{T}", point.score, 1e-6, point.label is want))
+        out.append((f"pt_eigvals_T{T}", dev, bound, dev <= bound))
+    return out
 
 
 def _kato():

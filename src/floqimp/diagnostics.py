@@ -6,7 +6,8 @@ growth rate of the half-chain entropy, revival periods from prominent
 entropy minima, and PT symmetric vs broken from the modulus of the
 non-Hermitian Floquet eigenvalues.  Those are read from mu = u + 1/u, the
 eigenvalues of an L x L block of K + K^-1 (K the symmetrized period), cut
-out by the symmetry C = P Gamma that pairs each u with 1/u.
+out by the symmetry C = P Gamma that pairs each u with 1/u.  The block is
+linear in lambda: three real parts per period (``period_factors``), one sum per point.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from .gaussian import (
     evolve,
     half_chain_entropy,
     half_filled_ground_state,
-    mirror_rotation,
     uniform_eigh,
-    uniform_exponential,
 )
 from .floquet_analytics import quasienergy_gap
 
@@ -225,15 +224,50 @@ def count_recurrences(
     return int(np.sum(ent[minima] <= (1.0 + rel_tol) * early_min))
 
 
-def period_factors(eig: tuple[np.ndarray, np.ndarray], period: float) -> tuple[np.ndarray, np.ndarray]:
-    """Q = exp(-i h(1) T/4) and E = exp(-i h(1) T/2) from the eigh of h(1)."""
-    return uniform_exponential(eig, 0.25 * period), uniform_exponential(eig, 0.5 * period)
+def _mirror_modes(eig: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """(V_e, w_e, V_o, w_o): h(1)'s modes in its mirror sectors on sites j < L, where a
+    P-symmetric O has the even block O_AA + O_AB J and the odd block O_AA - O_AB J
+    (J the L x L reversal); the modes of ``uniform_eigh`` alternate in parity."""
+    w, v = eig
+    L = len(w) // 2
+    return np.sqrt(2.0) * v[:L, 0::2], w[0::2], np.sqrt(2.0) * v[:L, 1::2], w[1::2]
 
 
-def two_step_mu(factors: tuple[np.ndarray, np.ndarray], lam: float) -> np.ndarray:
+def period_factors(eig: tuple[np.ndarray, np.ndarray], period: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real L x L parts (M0, M1, A) of the mu block at one period.
+
+    ``two_step_mu`` reads 2 (B^dagger Q) rot(E) (Q B) = M0 + lam M1 + i w A,
+    w = sqrt(1 - lam^2), since rot(E) is linear in 1, lam and w.  In the
+    sectors of ``_mirror_modes`` (x = e, o), let Q_x, E_x and F_x be
+    exp(-i h_x t) at t = T/4, T/2 and T, Z = Q_e E_o Q_e and
+    Y = (exp(-i h_e 3T/4) Q_o - Q_e exp(-i h_o 3T/4)) / 2.  B's phases cancel
+    against the sectors', and S = diag((-1)^j) maps h_e to -h_o, which
+    leaves M0 = Re(F_e + Z), M1 = Re(F_e - Z) and A = S Re(Y)^T - Re(Y) S.
+    With Omega = V_e^T V_o and D_x(t) = exp(-i w_x t), Z and Y are
+    V_e [D_e(T/4) Omega D_o(T/2) Omega^T D_e(T/4)] V_e^T and
+    V_e [D_e(3T/4) Omega D_o(T/4) - D_e(T/4) Omega D_o(3T/4)] V_o^T / 2:
+    eight real L x L products per period.  Their operands are C-contiguous:
+    OpenBLAS rounds a transposed view differently at one and at two threads.
+    """
+    ve, we, vo, wo = _mirror_modes(eig)
+    vet, vot = np.ascontiguousarray(ve.T), np.ascontiguousarray(vo.T)
+    omega = vet @ vo
+    omega_t = np.ascontiguousarray(omega.T)
+    a, b = 0.25 * period * we, 0.25 * period * wo
+    f = ve @ (np.cos(4.0 * a)[:, None] * vet)
+    # Omega D_o(T/2) Omega^T = hc - i hs; Z's core is the real part of D_e(T/4) (hc - i hs) D_e(T/4)
+    hc, hs = ((omega * trig(2.0 * b)) @ omega_t for trig in (np.cos, np.sin))
+    ab = np.add.outer(a, a)
+    z = ve @ (np.cos(ab) * hc - np.sin(ab) * hs) @ vet
+    y = ve @ ((np.cos(np.add.outer(3.0 * a, b)) - np.cos(np.add.outer(a, 3.0 * b))) * (0.5 * omega)) @ vot
+    s = (-1.0) ** np.arange(len(we))
+    return f + z, f - z, s[:, None] * y.T - y * s
+
+
+def two_step_mu(parts: tuple[np.ndarray, np.ndarray, np.ndarray], lam: float) -> np.ndarray:
     """mu = u + 1/u once for each pair (u, 1/u) of two-step eigenvalues.
 
-    ``factors`` are the (Q, E) of ``period_factors`` for the drive's period.
+    ``parts`` are the (M0, M1, A) of ``period_factors`` at the drive's period.
     The symmetrized period K = Q E(lam) Q shares U's spectrum, with
     Q = exp(-i h(1) T/4) and E(lam) = exp(-i h(lam) T/2).  C = P Gamma, the
     mirror j <-> 2L-1-j times the staggered sign (-1)^j (sites 0-based),
@@ -241,23 +275,16 @@ def two_step_mu(factors: tuple[np.ndarray, np.ndarray], lam: float) -> np.ndarra
     mu are the eigenvalues of M = K + K^-1 on the C = +i subspace, spanned
     by the columns c_j = beta_j (e_j - i s_j e_Pj)/sqrt2 (j < L) of B, with
     s_j = (-1)^j and beta_j = e^{i pi s_j/4}.  C^-1 = -C and C B = i B give
-    B^dagger K^-1 B = B^dagger K B, so the block is
-    2 (B^dagger Q) E(lam) (Q B): neither K nor K^-1 is formed, and B^dagger Q
-    and Q B are index arithmetic on Q.  For |lam| <= 1 the block is Hermitian
-    and |mu| <= 2, so it is clipped to [-2, 2] to drop rounding.  For
-    lam > 1, PT acts on the c_j as complex conjugation, so the block is real.
+    B^dagger K^-1 B = B^dagger K B, so the block is 2 (B^dagger Q) E(lam) (Q B)
+    = M0 + lam M1 + i sqrt(1 - lam^2) A.  For |lam| <= 1 it is Hermitian and
+    |mu| <= 2, so it is clipped to [-2, 2] to drop rounding.  For lam > 1 it
+    is the real M0 + lam M1 - sqrt(lam^2 - 1) A (PT acts on the c_j as
+    complex conjugation).
     """
-    q, e = factors
-    L = q.shape[0] // 2
-    s = (-1.0) ** np.arange(L)
-    beta = np.exp(0.25j * np.pi * s)
-    # sqrt2 Q B reads Q's columns j and Pj, sqrt2 B^dagger Q its rows j and Pj;
-    # B^dagger Q is formed once E(lam) is freed, which keeps the peak memory low
-    rqb = mirror_rotation(e, lam) @ ((q[:, :L] - 1j * s * q[:, ::-1][:, :L]) * beta)
-    block = ((q[:L] + 1j * s[:, None] * q[::-1][:L]) * beta.conj()[:, None]) @ rqb
+    m0, m1, a = parts
     if lam > 1:
-        return np.linalg.eigvals(block.real)
-    return np.clip(np.linalg.eigvalsh(block), -2.0, 2.0)
+        return np.linalg.eigvals(m0 + lam * m1 - np.sqrt(lam * lam - 1.0) * a)
+    return np.clip(np.linalg.eigvalsh(m0 + lam * m1 + 1j * np.sqrt(1.0 - lam * lam) * a), -2.0, 2.0)
 
 
 def pt_classify(params: ChainParams, drive: DriveSpec, tol: float = DEFAULT_PT_TOL, factors=None) -> PhasePoint:
@@ -267,8 +294,8 @@ def pt_classify(params: ChainParams, drive: DriveSpec, tol: float = DEFAULT_PT_T
     z = arccosh(mu/2) for each mu of ``two_step_mu``; the spectrum of an
     unbroken PT-symmetric period sits on the unit circle, so the point is PT
     symmetric iff the score stays below ``tol``.  A real mu in [-2, 2] has
-    Re z exactly 0, so symmetric points score 0.  A sweep passes the
-    ``period_factors`` of the drive's period; without them the point builds its own.
+    Re z exactly 0, so symmetric points score 0.  A sweep passes ``factors``
+    (``period_factors``); a lone point builds them, 5 ms at 2L = 400 (one BLAS thread).
     """
     if drive.family is DriveFamily.HARMONIC:
         raise ValueError("the mu fold requires a two-step drive family")
@@ -297,7 +324,7 @@ def phase_diagram(
     """PT labels on the (T, lambda) grid, row-major over lambda then T.
 
     ``map_columns`` (``map`` or a threaded map) scores one T column at a
-    time: the columns share one eigh of h(1), the lambdas of a period its Q and E."""
+    time: the columns share one eigh of h(1), the lambdas of a period its parts."""
     eig = uniform_eigh(params)
 
     def column(T):
@@ -314,7 +341,7 @@ def pt_boundary(
     symmetric-to-broken step of its T scan, or None when none is bracketed.
 
     T runs outside, so the lambdas of a period share one eigh of h(1) and
-    the period's Q and E; a lambda leaves the scan at its first broken point."""
+    the period's parts; a lambda leaves the scan at its first broken point."""
     eig = uniform_eigh(params)
     out = [None] * len(lam_values)
     active = list(range(len(lam_values)))
@@ -347,7 +374,8 @@ def gap_curve(
     Two-step families: a folded-spectrum proxy, the largest gap between sorted
     eigenphases +-Im arccosh(mu/2) (``two_step_mu``, one eigh of h(1) per
     sweep) on the quasienergy circle minus the mean level spacing (finite-size
-    stand-in for the folding threshold).  A lambda outside the family's range
+    stand-in for the folding threshold); each period builds its parts, about
+    5 ms at 2L = 400, for its one lambda.  A lambda outside the family's range
     (for the harmonic family any lambda but its default 1) raises ValueError
     from ``DriveSpec``.
     """

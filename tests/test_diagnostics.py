@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.signal import find_peaks
 
-from floqimp import diagnostics
+from floqimp import diagnostics, gaussian
 from floqimp.gaussian import Propagator, two_step_propagator, uniform_eigh
 from floqimp.model import ChainParams, DriveFamily, DriveSpec
 from floqimp.diagnostics import (
@@ -249,6 +249,42 @@ def full_fold_mu(params, drive):
     return np.clip(np.linalg.eigvalsh(block), -2.0, 2.0)
 
 
+@pytest.mark.parametrize("L", [6, 200])
+def test_mirror_sectors_reproduce_the_blocks_of_the_uniform_exponential(L):
+    # O_e = O_AA + O_AB J and O_o = O_AA - O_AB J for the P-symmetric exp(-i h(1) t);
+    # both routes round at about 1e-15 at 2L = 400 (entries of modulus <= 1)
+    eig = uniform_eigh(ChainParams(half_length=L))
+    ve, we, vo, wo = diagnostics._mirror_modes(eig)
+    for t in (0.325, 1.4, 1.95, 3.9):
+        e = gaussian.uniform_exponential(eig, t)
+        e_even, e_odd = ((v * np.exp(-1j * w * t)) @ v.T for v, w in ((ve, we), (vo, wo)))
+        assert np.max(np.abs(0.5 * (e_even + e_odd) - e[:L, :L])) < 2e-15
+        assert np.max(np.abs(0.5 * (e_even - e_odd) - e[:L, L:][:, ::-1])) < 2e-15
+
+
+@pytest.mark.parametrize("L", [6, 200])
+def test_period_parts_are_real_symmetric_and_antisymmetric(L):
+    eig = uniform_eigh(ChainParams(half_length=L))
+    for T in (1.3, 2.8, 3.9):
+        m0, m1, a = diagnostics.period_factors(eig, T)
+        assert all(x.dtype == np.float64 and x.shape == (L, L) for x in (m0, m1, a))
+        for x, sign in ((m0, 1.0), (m1, 1.0), (a, -1.0)):
+            assert np.max(np.abs(x - sign * x.T)) <= 1e-14 * np.linalg.norm(x, 2)
+
+
+@pytest.mark.parametrize("L", [6, 200])
+@pytest.mark.parametrize("lam", [-1.0, -0.3, 0.0, 0.5, 1.0, 1.1, 1.5, 2.4])
+def test_mu_from_the_period_parts_matches_the_full_fold(L, lam):
+    params = ChainParams(half_length=L)
+    eig = uniform_eigh(params)
+    for T in (1.3, 2.8, 3.9):
+        drive = diagnostics._drive_for(lam, T)
+        got, want = two_step_mu(diagnostics.period_factors(eig, T), lam), full_fold_mu(params, drive)
+        dist = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert np.max(dist[rows, cols]) < 1e-12
+
+
 @pytest.mark.parametrize("lam", [-1.0, 0.5, 1.2, 2.4])
 def test_mu_block_matches_the_full_fold(lam):
     # 2 B^dagger K B against the block of K + K^-1 formed in full, at 2L = 400
@@ -311,7 +347,7 @@ def threaded_map(fn, items):
     ],
     ids=["phase-threaded", "pt-boundary", "gap"],
 )
-def test_sweeps_build_one_eigh_and_two_exponentials_per_period(sweep, columns, monkeypatch):
+def test_sweeps_build_one_eigh_and_one_set_of_parts_per_period(sweep, columns, monkeypatch):
     calls = []
 
     def counted(name, fn):
@@ -322,10 +358,10 @@ def test_sweeps_build_one_eigh_and_two_exponentials_per_period(sweep, columns, m
         monkeypatch.setattr(diagnostics, name, wrapper)
 
     counted("uniform_eigh", diagnostics.uniform_eigh)
-    counted("uniform_exponential", diagnostics.uniform_exponential)
+    counted("period_factors", diagnostics.period_factors)
     sweep(ChainParams(half_length=10), np.array([2.0, 2.4, 2.7, 2.9]))
     assert calls.count("uniform_eigh") == 1
-    assert calls.count("uniform_exponential") == 2 * columns
+    assert calls.count("period_factors") == columns
 
 
 def test_gap_curve_high_frequency_harmonic():

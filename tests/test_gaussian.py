@@ -45,8 +45,8 @@ def symmetrized_two_step(params, drive):
     share one spectrum.  Splitting the uniform half keeps the drive's
     antiunitary symmetry on K: conj(K) = K^-1 for |lam| <= 1, and
     P conj(K) P = K^-1 for lam > 1.  ``diagnostics.two_step_mu`` reads an
-    L x L block of it from the same Q and E (``diagnostics.period_factors``,
-    handed down by the caller) without forming it.
+    L x L block of it from three real parts built in the mirror sectors of
+    h(1) (``diagnostics.period_factors``), forming neither K nor Q and E.
     """
     eig = gaussian.uniform_eigh(params)
     quarter, half = (gaussian.uniform_exponential(eig, f * drive.period) for f in (0.25, 0.5))
