@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .model import ChainParams, DriveFamily, DriveSpec, impurity_block, single_particle_hamiltonian
+from .model import ChainParams, DriveFamily, DriveSpec, ModelError, impurity_block, single_particle_hamiltonian
 from .gaussian import (
     GaussianState,
     Propagator,

@@ -2,8 +2,9 @@
 
 Every command writes a deterministic CSV (comma separated, ``.`` decimal,
 LF newlines, UTF-8) whose first lines echo the resolved configuration as
-``#`` comments.  Exit codes: 0 ok, 2 configuration error, 3 numeric or
-model error (the error class name goes to stderr).
+``#`` comments.  Exit codes: 0 ok, 2 configuration error (``ConfigError``
+or ``ValueError``), 3 numeric or model error (any ``model.ModelError``);
+the error class name goes to stderr.
 
 Option precedence: command-line flag > FLOQIMP_<KEY> environment variable >
 config-file entry > built-in default.  The config file is a flat
@@ -22,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .model import ChainParams, DriveFamily, DriveSpec
+from .model import ChainParams, DriveFamily, DriveSpec, ModelError
 from . import checks, diagnostics, floquet_analytics, gaussian, manybody_ed
 
 ENV_PREFIX = "FLOQIMP_"
@@ -397,19 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_MODEL_ERRORS = (
-    floquet_analytics.NormalizationUnderflow,
-    gaussian.DegenerateFermiLevel,
-    gaussian.RankDeficient,
-    gaussian.NonUnitaryPropagator,
-    manybody_ed.SectorTooLarge,
-    manybody_ed.NonNormalUnitary,
-    manybody_ed.KOutOfRange,
-    diagnostics.WindowTooShort,
-    diagnostics.NoRevivalDetected,
-)
-
-
 def main(argv=None) -> int:
     try:
         cfg = resolve(argv)
@@ -418,7 +406,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except _MODEL_ERRORS as exc:
+    except ModelError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ChainParams, DriveFamily, DriveSpec
+from .model import ChainParams, DriveFamily, DriveSpec, ModelError
 from .gaussian import (
     GaussianState,
     Propagator,
@@ -30,18 +30,25 @@ from .gaussian import (
 )
 from .floquet_analytics import quasienergy_gap
 
-DEFAULT_SLOPE_WINDOW = (5, 60)
-DEFAULT_SLOPE_THRESHOLD = 0.02
+SLOPE_WINDOW = (5, 60)
+SLOPE_THRESHOLD = 0.02
+REVIVAL_PROMINENCE = 0.2
+RECURRENCE_WINDOW = 30
+RECURRENCE_PROMINENCE = 0.05
+RECURRENCE_TOL = 0.10
 DEFAULT_PT_TOL = 1e-6
-DEFAULT_MIN_PROMINENCE = 0.2
 
 
-class WindowTooShort(Exception):
-    """Raised when a series cannot support the requested fit window."""
+class WindowTooShort(ModelError):
+    """Raised when a series is too short for the fit window."""
 
 
-class NoRevivalDetected(Exception):
+class NoRevivalDetected(ModelError):
     """Raised when fewer than two prominent entropy minima exist."""
+
+
+class OrbitalDrift(ModelError):
+    """Raised when an evolved state's orbitals drift from orthonormal by more than 1e-8."""
 
 
 class PhaseLabel(Enum):
@@ -53,16 +60,10 @@ class PhaseLabel(Enum):
 
 @dataclass(frozen=True)
 class EETimeSeries:
-    """Half-chain entropy at integer cycles, with the drive that produced it."""
+    """Half-chain entropy at cycles 0, 1, 2, ..., with the drive that produced it."""
 
-    params: ChainParams
     drive: DriveSpec
-    cycles: np.ndarray = field(repr=False)
     entropies: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.cycles) != len(self.entropies):
-            raise ValueError("cycles and entropies must have equal length")
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class PhasePoint:
     lam: float
     label: PhaseLabel
     score: float
-    delta: float = 0.0
 
 
 def stroboscopic_states(
@@ -86,7 +86,7 @@ def stroboscopic_states(
     steps renormalise the orbitals (no-click evolution); unitary steps
     propagate them directly.  ``evolve`` does not re-check orthonormality,
     so the last state is re-checked: drift above 1e-8 accumulated over the
-    run raises ValueError there.
+    run raises OrbitalDrift there.
     """
     state = half_filled_ground_state(params)
     yield 0, 0.0, state
@@ -95,7 +95,10 @@ def stroboscopic_states(
         for j, prop in enumerate(steps, 1):
             state = evolve(state, prop)
             if n == cycles and j == k:
-                state = GaussianState(orbitals=state.orbitals)
+                try:
+                    state = GaussianState(orbitals=state.orbitals)
+                except ValueError as exc:
+                    raise OrbitalDrift(f"after {cycles} cycles: {exc}") from None
             t = n * period if j == k else (n - 1) * period + j * period / k
             yield n, t, state
 
@@ -109,39 +112,23 @@ def half_chain_series(params: ChainParams, drive: DriveSpec, cycles: int) -> EET
     prop = build_propagator(params, drive)
     states = stroboscopic_states(params, drive.period, (prop,), cycles)
     ent = np.array([half_chain_entropy(state) for _, _, state in states])
-    return EETimeSeries(
-        params=params, drive=drive, cycles=np.arange(cycles + 1), entropies=ent
-    )
+    return EETimeSeries(drive=drive, entropies=ent)
 
 
-def classify_heating(
-    series: EETimeSeries,
-    window: tuple[int, int] = DEFAULT_SLOPE_WINDOW,
-    slope_threshold: float = DEFAULT_SLOPE_THRESHOLD,
-) -> PhasePoint:
-    """Label a series heating when the entropy slope over ``window`` exceeds
-    ``slope_threshold`` (nats per cycle).
+def classify_heating(series: EETimeSeries) -> PhasePoint:
+    """Label a series heating when its entropy slope over ``SLOPE_WINDOW``
+    exceeds ``SLOPE_THRESHOLD`` (nats per cycle).
 
-    The default window starts at cycle 5 to skip the initial spreading from
-    the defect.  The fit is an ordinary least-squares line, so the label is
+    The window starts at cycle 5 to skip the initial spreading from the
+    defect.  The fit is an ordinary least-squares line, so the label is
     invariant under adding a constant to the series.
     """
-    lo, hi = window
-    if len(series.entropies) < 10 or hi >= len(series.entropies) or hi - lo < 2:
-        raise WindowTooShort(
-            f"series of length {len(series.entropies)} cannot fit window {window}"
-        )
-    x = series.cycles[lo : hi + 1]
-    y = series.entropies[lo : hi + 1]
-    slope = float(np.polyfit(x, y, 1)[0])
-    label = PhaseLabel.HEATING if slope > slope_threshold else PhaseLabel.NON_HEATING
-    return PhasePoint(
-        period=series.drive.period,
-        lam=series.drive.lam,
-        label=label,
-        score=slope,
-        delta=series.params.delta,
-    )
+    lo, hi = SLOPE_WINDOW
+    if hi >= len(series.entropies):
+        raise WindowTooShort(f"series of length {len(series.entropies)} cannot fit window {SLOPE_WINDOW}")
+    slope = float(np.polyfit(np.arange(lo, hi + 1), series.entropies[lo : hi + 1], 1)[0])
+    label = PhaseLabel.HEATING if slope > SLOPE_THRESHOLD else PhaseLabel.NON_HEATING
+    return PhasePoint(period=series.drive.period, lam=series.drive.lam, label=label, score=slope)
 
 
 def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
@@ -191,37 +178,34 @@ def _prominent_minima(entropies: np.ndarray, rel_prominence: float) -> np.ndarra
     return _prominent_peaks(-entropies, rel_prominence * spread)
 
 
-def revival_period(series: EETimeSeries, min_prominence: float = DEFAULT_MIN_PROMINENCE) -> float:
+def revival_period(series: EETimeSeries) -> float:
     """Mean spacing of the prominent entropy minima, in time units.
 
     Revivals return the half-chain entropy toward its initial value, so they
-    are detected as local minima with prominence at least ``min_prominence``
-    times the series range.  Raises NoRevivalDetected with fewer than two.
+    are detected as local minima with prominence at least
+    ``REVIVAL_PROMINENCE`` times the series range.  Raises NoRevivalDetected
+    with fewer than two.
     """
-    minima = _prominent_minima(series.entropies, min_prominence)
+    minima = _prominent_minima(series.entropies, REVIVAL_PROMINENCE)
     if len(minima) < 2:
         raise NoRevivalDetected(f"found {len(minima)} prominent minima, need >= 2")
     return float(np.mean(np.diff(minima)) * series.drive.period)
 
 
-def count_recurrences(
-    series: EETimeSeries,
-    early_window: int = 30,
-    rel_prominence: float = 0.05,
-    rel_tol: float = 0.10,
-) -> int:
-    """Number of prominent minima within ``rel_tol`` of the early-time minimum.
+def count_recurrences(series: EETimeSeries) -> int:
+    """Number of prominent minima within ``RECURRENCE_TOL`` of the early-time minimum.
 
-    The early-time minimum is taken over cycles 1..early_window; any
-    prominent local minimum (from cycle 1 on) whose entropy is at most
-    (1 + rel_tol) times that value counts as a recurrence.
+    The early-time minimum is taken over cycles 1..RECURRENCE_WINDOW; any
+    minimum of prominence at least ``RECURRENCE_PROMINENCE`` times the
+    series range (from cycle 1 on) whose entropy is at most
+    (1 + RECURRENCE_TOL) times that value counts as a recurrence.
     """
     ent = series.entropies
-    if len(ent) <= early_window:
+    if len(ent) <= RECURRENCE_WINDOW:
         raise WindowTooShort("series shorter than the early window")
-    early_min = float(ent[1 : early_window + 1].min())
-    minima = _prominent_minima(ent, rel_prominence)
-    return int(np.sum(ent[minima] <= (1.0 + rel_tol) * early_min))
+    early_min = float(ent[1 : RECURRENCE_WINDOW + 1].min())
+    minima = _prominent_minima(ent, RECURRENCE_PROMINENCE)
+    return int(np.sum(ent[minima] <= (1.0 + RECURRENCE_TOL) * early_min))
 
 
 def _mirror_modes(eig: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -304,9 +288,7 @@ def pt_classify(params: ChainParams, drive: DriveSpec, tol: float = DEFAULT_PT_T
     z = np.arccosh(two_step_mu(factors, drive.lam).astype(complex) / 2.0)
     score = float(np.max(np.expm1(np.abs(z.real))))
     label = PhaseLabel.PT_SYMMETRIC if score < tol else PhaseLabel.PT_BROKEN
-    return PhasePoint(
-        period=drive.period, lam=drive.lam, label=label, score=score, delta=params.delta
-    )
+    return PhasePoint(period=drive.period, lam=drive.lam, label=label, score=score)
 
 
 def _drive_for(lam: float, T: float) -> DriveSpec:
@@ -334,11 +316,10 @@ def phase_diagram(
     return [p for row in zip(*map_columns(column, T_values)) for p in row]
 
 
-def pt_boundary(
-    params: ChainParams, lam_values: Sequence[float], T_values: np.ndarray, tol: float = DEFAULT_PT_TOL
-) -> list[float | None]:
+def pt_boundary(params: ChainParams, lam_values: Sequence[float], T_values: np.ndarray) -> list[float | None]:
     """Estimated PT-breaking period of each lambda: midpoint of the first
-    symmetric-to-broken step of its T scan, or None when none is bracketed.
+    symmetric-to-broken step of its T scan (at ``DEFAULT_PT_TOL``), or None
+    when none is bracketed.
 
     T runs outside, so the lambdas of a period share one eigh of h(1) and
     the period's parts; a lambda leaves the scan at its first broken point."""
@@ -352,7 +333,7 @@ def pt_boundary(
         factors = period_factors(eig, T)
         unbroken = []
         for i in active:
-            point = pt_classify(params, _drive_for(float(lam_values[i]), T), tol, factors)
+            point = pt_classify(params, _drive_for(float(lam_values[i]), T), factors=factors)
             if point.label is PhaseLabel.PT_SYMMETRIC:
                 unbroken.append(i)
             elif prev_T is not None:

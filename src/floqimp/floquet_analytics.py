@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainParams, single_particle_hamiltonian, bond_matrix, imbalance_matrix
+from .model import ChainParams, ModelError, bond_matrix, imbalance_matrix, require_free, single_particle_hamiltonian
 
 
-class NormalizationUnderflow(Exception):
+class NormalizationUnderflow(ModelError):
     """Raised when both closed-form eigenvector denominators vanish."""
 
 
@@ -297,6 +297,7 @@ def sw_effective_hamiltonian(params: ChainParams, T: float) -> np.ndarray:
     """
     if not 0 < T:
         raise ValueError("T must be positive")
+    require_free(params)
     L = params.half_length
     m = np.zeros((L, L))
     np.fill_diagonal(m, -2.0 * np.pi / T)
@@ -332,6 +333,7 @@ def root_average_energies(params: ChainParams, T: float, roots: list[QuasiEnergy
     <sigma>_n is evaluated in closed form from the sinh-ratio channel
     amplitudes of root n (no diagonalisation involved).
     """
+    require_free(params)
     theta = np.empty(len(roots))
     for i, root in enumerate(roots):
         a, b = _amplitude_arrays(root, params.half_length, T)

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .floquet_analytics import from_chain, harmonic_chain
-from .model import ChainParams, DriveFamily, DriveSpec, harmonic_block, single_particle_hamiltonian
+from .model import (
+    ChainParams, DriveFamily, DriveSpec, ModelError, harmonic_block, require_free, single_particle_hamiltonian
+)
 
 _ORTHO_TOL = 1e-8
 # evolve multiplies blocks of this many propagator rows, each over the
@@ -39,15 +41,11 @@ _CLIP = 1e-14
 _MIRROR_TOL = 1e-10
 
 
-class DegenerateFermiLevel(Exception):
-    """Raised when the requested filling cuts through a degenerate level."""
-
-
-class RankDeficient(Exception):
+class RankDeficient(ModelError):
     """Raised when non-unitary evolution collapses the orbital rank."""
 
 
-class NonUnitaryPropagator(Exception):
+class NonUnitaryPropagator(ModelError):
     """Raised when a propagator marked unitary has max|U^dagger U - 1| above 1e-8."""
 
 
@@ -169,8 +167,9 @@ def uniform_eigh(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:
     In closed form: w_k = -cos(pi k / (2L+1)) and
     v_jk = sqrt(2 / (2L+1)) sin(pi jk / (2L+1)), j, k = 1 .. 2L.  jk is
     reduced modulo 2(2L+1) first, which keeps max|v^T v - 1| and the
-    residual near 1e-16 at 2L = 400 (about 2e-14 without it).
+    residual near 1e-16 at 2L = 400 (about 2e-14 without it).  delta != 0 raises ValueError.
     """
+    require_free(params)
     n = params.n_sites
     k = np.arange(1, n + 1)
     jk = np.outer(k, k) % (2 * (n + 1))

@@ -25,8 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .gaussian import DegenerateFermiLevel
-from .model import ChainParams, DriveFamily, DriveSpec, single_particle_hamiltonian
+from .model import ChainParams, DriveFamily, DriveSpec, ModelError, single_particle_hamiltonian
 
 SECTOR_LIMIT = 20_000
 GREY_THRESHOLD = 0.002
@@ -43,19 +42,23 @@ _LANCZOS_TOL = 1e-12
 _LANCZOS_CHECK = 16  # Krylov vectors added between Ritz residual checks
 
 
-class SectorTooLarge(Exception):
+class SectorTooLarge(ModelError):
     """Raised when the requested sector exceeds the desk-scale guard."""
 
 
-class NonNormalUnitary(Exception):
+class NonNormalUnitary(ModelError):
     """Raised when the sector Floquet operator fails the unitarity check."""
 
 
-class KOutOfRange(Exception):
+class KOutOfRange(ModelError):
     """Raised when more subset sums are requested than the sector holds."""
 
 
-class DegenerateMinimalState(Exception):
+class DegenerateFermiLevel(ModelError):
+    """Raised when the requested filling cuts through a degenerate level."""
+
+
+class DegenerateMinimalState(ModelError):
     """Raised when theta_L = theta_{L+1}: the minimal-theta state is not one determinant."""
 
 
@@ -104,7 +107,7 @@ def build_sector_hamiltonian(params: ChainParams, lam: float, filling: int) -> S
         raise ValueError(f"sector matrices need a Hermitian defect, |lam| <= 1; got lam = {lam}")
     n = params.n_sites
     basis = sector_basis(n, filling)
-    hop = single_particle_hamiltonian(params, lam).real
+    hop = single_particle_hamiltonian(ChainParams(params.half_length), lam).real
     onsite = np.diag(hop)
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in basis.states), dtype=np.uint8)
@@ -154,7 +157,6 @@ class ManyBodySpectrumTable:
     adiabatic-continuity diagnostic).  grey flags weight < 0.002.
     """
 
-    period: float
     quasienergy: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
@@ -467,7 +469,6 @@ def average_energy_spectrum_mb(
     theta = theta[order]
     weight = weight[order]
     return ManyBodySpectrumTable(
-        period=drive.period,
         quasienergy=-phases[order] / drive.period,
         theta=theta,
         weight=weight,
@@ -508,8 +509,6 @@ def free_ground_state_weight(params: ChainParams, drive: DriveSpec) -> float:
     theta_L = theta_{L+1}, and DegenerateFermiLevel when the averaged
     Hamiltonian is degenerate at half filling.
     """
-    if params.delta != 0:
-        raise ValueError("free_ground_state_weight requires delta = 0")
     if drive.family is DriveFamily.HARMONIC:
         raise ValueError("free_ground_state_weight requires a two-step drive family")
     if drive.family is DriveFamily.NON_HERMITIAN_TWO_STEP:

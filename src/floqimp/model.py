@@ -20,6 +20,10 @@ from enum import Enum
 import numpy as np
 
 
+class ModelError(Exception):
+    """Base of every numeric or model failure; the CLI maps it to exit code 3."""
+
+
 class DriveFamily(Enum):
     """Supported periodic modulations of the defect strength."""
 
@@ -33,7 +37,7 @@ class ChainParams:
     """Static chain geometry: 2L sites, open boundaries, hopping J = 1.
 
     ``delta`` is the nearest-neighbour density-density coupling used by the
-    many-body sector code; the single-particle matrices ignore it.
+    many-body sector code; the single-particle matrices reject it.
     """
 
     half_length: int
@@ -46,6 +50,12 @@ class ChainParams:
     @property
     def n_sites(self) -> int:
         return 2 * self.half_length
+
+
+def require_free(params: ChainParams) -> None:
+    """Raise ValueError unless delta = 0: the single-particle routes are free fermions."""
+    if params.delta != 0:
+        raise ValueError(f"free-fermion routes cannot apply delta != 0; got delta = {params.delta}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,8 @@ def harmonic_block(phase: float) -> np.ndarray:
 
 
 def single_particle_hamiltonian(params: ChainParams, lam: float) -> np.ndarray:
-    """Dense 2L x 2L hopping matrix with the defect block on the central bond."""
+    """Dense 2L x 2L hopping matrix with the defect block on the central bond (delta = 0 only)."""
+    require_free(params)
     n = params.n_sites
     h = np.zeros((n, n), dtype=complex)
     idx = np.arange(n - 1)

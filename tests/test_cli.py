@@ -1,14 +1,17 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import floqimp
 from floqimp import checks, cli, floquet_analytics, manybody_ed
 from floqimp.cli import main
 from floqimp.floquet_analytics import NormalizationUnderflow
-from floqimp.model import ChainParams, DriveFamily, DriveSpec
+from floqimp.model import ChainParams, DriveFamily, DriveSpec, ModelError
 
 
 def run(capsys, *argv):
@@ -286,14 +289,36 @@ def test_verify_failing_row_prints_fail_and_exits_1(capsys, monkeypatch):
     assert out == "planted measured=2 bound=1 FAIL\n"
 
 
-def test_verify_model_error_exits_3(capsys, monkeypatch):
-    def underflow():
-        raise NormalizationUnderflow("planted")
+def _package_exceptions():
+    """Every exception class defined in a floqimp module."""
+    modules = [importlib.import_module(f"floqimp.{info.name}") for info in pkgutil.iter_modules(floqimp.__path__)]
+    found = {
+        value
+        for mod in modules
+        for value in vars(mod).values()
+        if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == mod.__name__
+    }
+    return sorted(found, key=lambda cls: cls.__name__)
 
-    monkeypatch.setitem(checks.SUITES, "roots", underflow)
+
+MODEL_ERRORS = [cls for cls in _package_exceptions() if issubclass(cls, ModelError) and cls is not ModelError]
+
+
+def test_every_exception_but_config_error_is_a_model_error():
+    assert NormalizationUnderflow in MODEL_ERRORS and len(MODEL_ERRORS) >= 11
+    others = [cls for cls in _package_exceptions() if not issubclass(cls, ModelError)]
+    assert others == [cli.ConfigError]
+
+
+@pytest.mark.parametrize("error", MODEL_ERRORS, ids=lambda cls: cls.__name__)
+def test_verify_model_error_exits_3(capsys, monkeypatch, error):
+    def planted():
+        raise error("planted")
+
+    monkeypatch.setitem(checks.SUITES, "roots", planted)
     code, _, err = run(capsys, "verify", "--suite", "roots")
     assert code == 3
-    assert err.startswith("NormalizationUnderflow")
+    assert err.startswith(f"{error.__name__}: planted")
 
 
 def test_config_file_and_env_precedence(tmp_path, capsys, monkeypatch):

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 
 from floqimp import cli, diagnostics, gaussian
-from floqimp.model import ChainParams, DriveFamily, DriveSpec, harmonic_block, single_particle_hamiltonian
+from floqimp.model import ChainParams, DriveFamily, DriveSpec, ModelError, harmonic_block, single_particle_hamiltonian
+from floqimp.manybody_ed import DegenerateFermiLevel
 from floqimp.gaussian import (
-    DegenerateFermiLevel,
     GaussianState,
     NonUnitaryPropagator,
     Propagator,
@@ -223,13 +223,30 @@ def test_windowed_unitarity_check_sees_entries_off_the_light_cone():
 
 
 def test_non_unitary_propagator_is_a_cli_model_error(capsys, monkeypatch):
-    assert NonUnitaryPropagator in cli._MODEL_ERRORS
+    assert issubclass(NonUnitaryPropagator, ModelError)
+
     def doubled(eig, t):
         return 2.0 * np.eye(len(eig[0]), dtype=complex)
 
     monkeypatch.setattr(gaussian, "uniform_exponential", doubled)
     code = cli.main(["evolve", "--family", "two-step", "--L", "4", "--T", "2.5", "--cycles", "2", "--out", "-"])
     assert code == 3 and "NonUnitaryPropagator" in capsys.readouterr().err
+
+
+def test_orbital_drift_over_a_run_is_a_cli_model_error(capsys, monkeypatch):
+    # U^dagger U deviates by about 8e-9, below the propagator's 1e-8 check,
+    # so the orbitals drift by that much per cycle until the last state's
+    # re-check sees 8e-8
+    build = gaussian.build_propagator
+
+    def drifting(params, drive):
+        return Propagator(matrix=(1.0 + 4e-9) * build(params, drive).matrix, unitary=True)
+
+    monkeypatch.setattr(gaussian, "build_propagator", drifting)
+    argv = ["evolve", "--family", "two-step", "--L", "10", "--T", "2.5", "--lambda", "0.5", "--cycles", "10"]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("OrbitalDrift:") and "8.00e-08" in err
 
 
 WINDOW_PARAMS = ChainParams(half_length=100)

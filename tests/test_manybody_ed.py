@@ -11,11 +11,12 @@ import scipy.linalg
 from scipy.linalg import schur
 
 import floqimp
-from floqimp.gaussian import DegenerateFermiLevel, two_step_propagator
+from floqimp.gaussian import two_step_propagator
 from floqimp.model import ChainParams, DriveFamily, DriveSpec, single_particle_hamiltonian
 from floqimp import manybody_ed
 from floqimp.manybody_ed import (
     GREY_THRESHOLD,
+    DegenerateFermiLevel,
     DegenerateMinimalState,
     KOutOfRange,
     NonNormalUnitary,
@@ -86,7 +87,7 @@ def _sector_hamiltonian_loop(params, lam, filling):
     n = params.n_sites
     basis = sector_basis(n, filling)
     index = basis.index()
-    hop = single_particle_hamiltonian(params, lam).real
+    hop = single_particle_hamiltonian(ChainParams(half_length=params.half_length), lam).real
     onsite = np.diag(hop)
     H = np.zeros((basis.dim, basis.dim))
     for a, s in enumerate(basis.states):

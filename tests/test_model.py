@@ -11,6 +11,7 @@ from floqimp.model import (
     imbalance_matrix,
     single_particle_hamiltonian,
 )
+from floqimp import diagnostics, floquet_analytics, gaussian, manybody_ed
 from floqimp.floquet_analytics import mirror_operator
 
 
@@ -186,3 +187,46 @@ def test_drive_spec_validation():
         with pytest.raises(ValueError):
             DriveSpec(DriveFamily.HARMONIC, period=1.0, lam=lam)
     DriveSpec(DriveFamily.HARMONIC, period=1.0, lam=1.0)
+
+
+_TWO_STEP = DriveSpec(DriveFamily.TWO_STEP, period=2.5, lam=0.5)
+_HARMONIC = DriveSpec(DriveFamily.HARMONIC, period=2.5)
+_NO_CLICK = DriveSpec(DriveFamily.NON_HERMITIAN_TWO_STEP, period=2.5, lam=1.5)
+FREE_ENTRY_POINTS = {
+    "single_particle_hamiltonian": lambda p: single_particle_hamiltonian(p, 0.5),
+    "uniform_eigh": gaussian.uniform_eigh,
+    "half_filled_ground_state": gaussian.half_filled_ground_state,
+    "two_step_factors": lambda p: gaussian.two_step_factors(p, _TWO_STEP),
+    "two_step_propagator": lambda p: gaussian.two_step_propagator(p, _NO_CLICK),
+    "harmonic_propagator": lambda p: gaussian.harmonic_propagator(p, 2.5),
+    "midpoint_propagator": lambda p: gaussian.midpoint_propagator(p, 2.5, 8),
+    "build_propagator": lambda p: gaussian.build_propagator(p, _HARMONIC),
+    "floquet_hamiltonian_exact": lambda p: floquet_analytics.floquet_hamiltonian_exact(p, 2.5),
+    "harmonic_chain": lambda p: floquet_analytics.harmonic_chain(p, 2.5),
+    "quasienergy_gap": lambda p: floquet_analytics.quasienergy_gap(p, 2.5),
+    "characteristic_roots": lambda p: floquet_analytics.characteristic_roots(p, 2.5),
+    "root_average_energies": lambda p: floquet_analytics.root_average_energies(
+        p, 2.5, floquet_analytics.characteristic_roots(ChainParams(p.half_length), 2.5)
+    ),
+    "sw_effective_hamiltonian": lambda p: floquet_analytics.sw_effective_hamiltonian(p, 0.5),
+    "kato_hamiltonian_sp": lambda p: floquet_analytics.kato_hamiltonian_sp(p, 2.5),
+    "two_step_theta_sp": lambda p: manybody_ed.two_step_theta_sp(p, _TWO_STEP),
+    "free_ground_state_weight": lambda p: manybody_ed.free_ground_state_weight(p, _TWO_STEP),
+    "stroboscopic_states": lambda p: next(diagnostics.stroboscopic_states(p, 2.5, (), 1)),
+    "half_chain_series": lambda p: diagnostics.half_chain_series(p, _TWO_STEP, 2),
+    "half_chain_series-harmonic": lambda p: diagnostics.half_chain_series(p, _HARMONIC, 2),
+    "pt_classify": lambda p: diagnostics.pt_classify(p, _NO_CLICK),
+    "phase_diagram": lambda p: diagnostics.phase_diagram(p, np.array([2.5]), np.array([1.5])),
+    "pt_boundary": lambda p: diagnostics.pt_boundary(p, [1.5], np.array([2.5, 3.0])),
+    "gap_curve": lambda p: diagnostics.gap_curve(p, np.array([2.5])),
+    "gap_curve-two-step": lambda p: diagnostics.gap_curve(p, np.array([2.5]), DriveFamily.TWO_STEP, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", FREE_ENTRY_POINTS.values(), ids=FREE_ENTRY_POINTS.keys())
+def test_free_routes_reject_delta(entry):
+    # the single-particle routes are free fermions: a coupling they cannot
+    # apply is refused, not dropped; the sector routes keep accepting delta
+    entry(ChainParams(half_length=4))
+    with pytest.raises(ValueError, match="delta"):
+        entry(ChainParams(half_length=4, delta=0.3))
